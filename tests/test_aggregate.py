@@ -1,5 +1,8 @@
 """Aggregation (§4.4) tests: Example 2.2 similarTo discrimination, the
 evidence condition kinds, descriptor confidence formula, excluding."""
+import json
+from pathlib import Path
+
 import pandas as pd
 import pytest
 
@@ -161,3 +164,40 @@ class TestExcluding:
     def test_address_regex(self):
         conds = [SatCond("matches", r"[0-9]+ [0-9A-Za-z ]+ [Ss]t.?")]
         assert aggregate.excluded("12 Mission St.", conds)
+
+
+PINNED_SCORES = Path(__file__).parent / "data" / "cafe_scores.json"
+PINNED_CORPORA = [("barista", 1), ("sprudge", 2)]
+
+
+def pinned_scores(spark, style, seed):
+    """``score_values`` for ``cafe(0.6)``'s clause over every entity of
+    ``cafe_corpus(30, style, seed)``, plus the token sequences "cafe" and
+    "a cafe" in every doc: never entities, so they take ``_mentions``'
+    token-sequence fallback.
+    Rows ``[doc_id, value, score]`` sorted, scores rounded to 1e-9."""
+    from pyspark.sql import functions as F
+    from repro.corpus import cafes, generator
+    qc = cafes.cafe_corpus(spark, 30, style=style, seed=seed)
+    ents = generator.entities_of(qc.tokens).select(
+        "doc_id", F.col("entity").alias("value")
+    )
+    docs = qc.tokens.select("doc_id").distinct()
+    words = [docs.withColumn("value", F.lit(w)) for w in ("cafe", "a cafe")]
+    cand = ents.union(words[0]).union(words[1]).distinct().toPandas()
+    clause = queries.cafe(0.6).satisfying[0]
+    scores = aggregate.score_values(qc.tokens, cand, clause)
+    return sorted(
+        [int(r.doc_id), r.value, round(float(r.score), 9)]
+        for r in scores.itertuples()
+    )
+
+
+class TestPinnedScores:
+    """Multi-sentence, multi-value documents scored with every evidence
+    kind (precedes, near, desc_right), pinned to the recorded output."""
+
+    @pytest.mark.parametrize("style,seed", PINNED_CORPORA)
+    def test_cafe_scores_unchanged(self, spark, style, seed):
+        expected = json.loads(PINNED_SCORES.read_text())[f"{style}-{seed}"]
+        assert pinned_scores(spark, style, seed) == expected
