@@ -12,7 +12,6 @@ The reproduced number is the mean per-sentence evaluation time over a
 sample of (query, sentence) pairs; the benchmark's value is the total
 loop, and ``extra_info["ms_per_sentence"]`` holds the Table-1 number.
 """
-import pandas as pd
 import pytest
 
 from repro.bench import synthetic_span
@@ -24,11 +23,7 @@ N_SENT_POOL = 80     # sentences scanned when pairing
 
 
 def _sentences(tokens, n):
-    pdf = tokens.toPandas()
-    sids = sorted(pdf.sid.unique())[:n]
-    return [
-        evaluate.Sentence.from_pandas(pdf[pdf.sid == s]) for s in sids
-    ]
+    return evaluate.sentences(tokens.toPandas())[:n]
 
 
 def _matching_pairs(tokens, n_atoms):

@@ -17,9 +17,7 @@ from repro.koko import evaluate, normalize
 
 
 def matching_pairs(tokens, n_atoms, n_pairs, pool=80):
-    pdf = tokens.toPandas()
-    sids = sorted(pdf.sid.unique())[:pool]
-    sents = [evaluate.Sentence.from_pandas(pdf[pdf.sid == s]) for s in sids]
+    sents = evaluate.sentences(tokens.toPandas())[:pool]
     pairs = []
     for q in synthetic_span.benchmark(tokens, per_setting=60, seed=0):
         if q.n_atoms != n_atoms:

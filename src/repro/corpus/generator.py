@@ -8,7 +8,8 @@ partitions.
 
 Schema (see DESIGN.md §5): ``doc_id, sid, tid, token, pos, label, head,
 depth, sub_lo, sub_hi, pl_path, pos_path, triple_path, etype, ent_lo,
-ent_hi, ent_text``. ``sid`` is globally unique (``doc_id * 1000 + i``).
+ent_hi, ent_text``. ``sid`` is globally unique
+(``doc_id * SENTS_PER_DOC + i``, at most ``SENTS_PER_DOC`` sentences a doc).
 Entity columns are null for tokens outside any entity span;
 ``entities_of`` projects the entity table out of the token table.
 """
@@ -54,6 +55,10 @@ def resolve_template(
     tpl: Template, rng: np.random.Generator, doc_id: int, sent_idx: int
 ) -> list[dict]:
     """Fill a template's slots and compute all tree metadata → row dicts."""
+    if sent_idx >= SENTS_PER_DOC:
+        raise ValueError(
+            f"sentence {sent_idx} of doc {doc_id}: at most {SENTS_PER_DOC} per doc"
+        )
     words = [
         POOLS[t.word][int(rng.integers(len(POOLS[t.word])))] if t.word.startswith("$") else t.word
         for t in tpl.tokens

@@ -126,15 +126,6 @@ def closure(nodes: DataFrame) -> DataFrame:
     )
 
 
-def lookup_hierarchy(index: KokoIndex, regex: str, *, attr: str) -> DataFrame:
-    """Union of posting lists of all hierarchy nodes whose path matches
-    ``regex`` → quintuple rows ``(x, y, u, v, d)`` (§4.2.2)."""
-    nodes = index.pl_nodes if attr == "parse" else index.pos_nodes
-    id_col = "pl_id" if attr == "parse" else "pos_id"
-    hits = nodes.where(F.col("path").rlike(regex)).select(F.col("id").alias(id_col))
-    return index.word.join(hits, id_col).select("x", "y", "u", "v", "d")
-
-
 def lookup_word(index: KokoIndex, word: str) -> DataFrame:
     return index.word.where(F.col("word") == word).select("x", "y", "u", "v", "d")
 

@@ -20,7 +20,9 @@ restricted to the side of the mention the condition names.
 
 Evaluation is distributed per document via ``applyInPandas``; candidate
 values are broadcast in the UDF closure (they are small — distinct
-extraction values).
+extraction values). Each document is decoded by ``evaluate.sentences``, and
+mentions are found with the extract clause's own entity-span and
+token-sequence matching.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from pyspark.sql import types as T
 from ..corpus import vocab
 from ..nlp import decompose, embeddings
 from .ast import SatCond, Satisfying
-from .evaluate import emitted_vars
+from .evaluate import Sentence, Span, _token_occurrences, sentences
 from .normalize import NormQuery
 
 DICTIONARIES: dict[str, set[str]] = {
@@ -80,40 +82,28 @@ def _string_level(cond: SatCond, value: str) -> float | None:
     return None
 
 
-def _mentions(sent: pd.DataFrame, value: str) -> list[tuple[int, int]]:
+def _mentions(sent: Sentence, value: str) -> list[Span]:
     """Token spans where ``value`` is mentioned in this sentence: entity
     spans with that text, else literal token-sequence occurrences."""
-    spans = [
-        (int(r.ent_lo), int(r.ent_hi))
-        for _, r in sent[(sent.ent_text == value) & (sent.tid == sent.ent_lo)].iterrows()
-    ]
-    if spans:
-        return spans
-    toks = list(sent.token)
-    vt = _tokenize(value)
-    return [
-        (i, i + len(vt) - 1)
-        for i in range(len(toks) - len(vt) + 1)
-        if toks[i : i + len(vt)] == vt
-    ]
+    spans = [(lo, hi) for lo, hi, _, text in sent.entities if text == value]
+    return spans or _token_occurrences(sent, tuple(_tokenize(value)))
 
 
 def _descriptor_conf(
-    sent: pd.DataFrame, span: tuple[int, int], cond: SatCond
+    sent: Sentence, clauses: list[tuple[list[int], float]], span: Span, cond: SatCond
 ) -> float:
-    side = "right" if cond.kind == "desc_right" else "left"
-    toks = list(sent.token)
-    heads = list(sent["head"])
-    labels = list(sent.label)
     lo, hi = span
+    windows = []  # each clause's tokens on the named side of the mention
+    for tids, l_j in clauses:
+        if cond.kind == "desc_right":
+            window = [sent.tokens[i] for i in tids if i > hi]
+        else:
+            window = [sent.tokens[i] for i in tids if i < lo]
+        windows.append((window, l_j))
     best = 0.0
     for phrase, k_i in _expanded(cond.arg):
         total = 0.0
-        for tids, l_j in decompose.clauses(heads, labels):
-            if side == "right":
-                window = [toks[i] for i in tids if i > hi]
-            else:
-                window = [toks[i] for i in tids if i < lo]
+        for window, l_j in windows:
             if window and _occurs(phrase, window):
                 total += k_i * l_j
         best = max(best, total)
@@ -125,9 +115,9 @@ def _evidence_scores(
 ) -> dict[str, list[float]]:
     """m_i(e) per value for the corpus-scanning conditions of one clause."""
     out = {v: [0.0] * len(conds) for v in values}
-    for _, sent in doc.groupby("sid"):
-        sent = sent.sort_values("tid")
-        toks = list(sent.token)
+    for sent in sentences(doc):
+        toks = sent.tokens
+        clauses = None  # decomposed on the first descriptor condition
         for v in values:
             spans = _mentions(sent, v)
             if not spans:
@@ -146,19 +136,16 @@ def _evidence_scores(
                     if hit:
                         out[v][ci] = 1.0
                 elif cond.kind == "near":
-                    arg = _tokenize(cond.arg)
-                    occ = [
-                        i
-                        for i in range(len(toks) - len(arg) + 1)
-                        if toks[i : i + len(arg)] == arg
-                    ]
+                    occ = _token_occurrences(sent, tuple(_tokenize(cond.arg)))
                     for lo, hi in spans:
-                        for i in occ:
-                            dist = max(0, max(lo - (i + len(arg) - 1), i - hi) - 1)
+                        for s, e in occ:
+                            dist = max(0, max(lo - e, s - hi) - 1)
                             out[v][ci] = max(out[v][ci], 1.0 / (1.0 + dist))
                 elif cond.kind in ("desc_right", "desc_left"):
+                    if clauses is None:
+                        clauses = decompose.clauses(sent.heads, sent.labels)
                     conf = max(
-                        _descriptor_conf(sent, sp, cond) for sp in spans
+                        _descriptor_conf(sent, clauses, sp, cond) for sp in spans
                     )
                     out[v][ci] += conf  # summed over sentences (§4.4.1)
     return out

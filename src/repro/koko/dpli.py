@@ -20,7 +20,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..indexing import pathmatch
-from ..indexing.koko_index import KokoIndex, lookup_hierarchy, lookup_word
+from ..indexing.koko_index import KokoIndex, lookup_word
 from ..indexing.pathmatch import Step
 from .normalize import NormQuery
 

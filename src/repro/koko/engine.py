@@ -17,6 +17,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from ..corpus.generator import SENTS_PER_DOC
 from ..indexing.koko_index import KokoIndex
 from . import aggregate, dpli, evaluate, normalize
 from .ast import Query
@@ -28,10 +29,6 @@ class RunResult:
     timings: dict[str, float] = field(default_factory=dict)
     n_candidate_sentences: int = 0
     n_extraction_rows: int = 0
-
-    @property
-    def total(self) -> float:
-        return sum(self.timings.values())
 
 
 def run(
@@ -62,7 +59,8 @@ def run(
     t0 = perf_counter()
     if cand is not None:
         cand_docs = (
-            cand.select((F.col("x") / 1000).cast("long").alias("doc_id")).distinct()
+            cand.select((F.col("x") / SENTS_PER_DOC).cast("long").alias("doc_id"))
+            .distinct()
         )
         articles = tokens.join(cand_docs, "doc_id", "left_semi").cache()
     else:

@@ -11,10 +11,12 @@ Two modes reproduce Table 1:
   product over every variable's global binding set (an unconstrained
   elastic contributes all t(t+1)/2 spans), with adjacency checked last.
 
-Sentence-level evaluation is pure Python/NumPy (sentences are tiny and
-already pruned by DPLI); the corpus-level driver wraps it in
-``applyInPandas`` grouped by sentence. A span ``(s, e)`` is inclusive;
-empty spans are ``(s, s-1)``.
+Sentence-level evaluation is pure Python (sentences are tiny and already
+pruned by DPLI); the corpus-level driver wraps it in ``applyInPandas``
+grouped by document. ``sentences`` is the one decoder from token rows to
+the in-memory ``Sentence``: it serves this driver and the satisfying-clause
+scan in ``aggregate`` alike. A span ``(s, e)`` is inclusive; empty spans
+are ``(s, s-1)``.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from time import perf_counter
 
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from ..indexing import pathmatch
@@ -61,24 +62,45 @@ class Sentence:
 
     @staticmethod
     def from_pandas(pdf: pd.DataFrame) -> "Sentence":
-        pdf = pdf.sort_values("tid")
-        ents = []
-        sub = pdf[pdf.etype.notna() & (pdf.tid == pdf.ent_lo)]
-        for _, r in sub.iterrows():
-            ents.append((int(r.ent_lo), int(r.ent_hi), r.etype, r.ent_text))
-        return Sentence(
-            doc_id=int(pdf.doc_id.iloc[0]),
-            sid=int(pdf.sid.iloc[0]),
-            tokens=list(pdf["token"]),
-            pos=list(pdf["pos"]),
-            labels=list(pdf["label"]),
-            heads=list(pdf["head"]),
-            depths=list(pdf["depth"]),
-            sub_lo=list(pdf["sub_lo"]),
-            sub_hi=list(pdf["sub_hi"]),
-            triple=list(pdf["triple_path"]),
-            entities=ents,
+        """One sentence's token rows, in any order (see ``sentences``)."""
+        sents = sentences(pdf)
+        if len(sents) != 1:
+            raise ValueError(f"expected the rows of one sentence, got {len(sents)} sids")
+        return sents[0]
+
+
+_LIST_COLS = {
+    "tokens": "token", "pos": "pos", "labels": "label", "heads": "head",
+    "depths": "depth", "sub_lo": "sub_lo", "sub_hi": "sub_hi",
+    "triple": "triple_path",
+}
+
+
+def sentences(pdf: pd.DataFrame) -> list[Sentence]:
+    """Decode token rows (one document's, in the UDFs), in any order, into
+    their sentences in sid order: one sort by ``(sid, tid)``, one list per
+    column, cut at sid boundaries. Entities are the rows where an entity
+    starts; the null test accepts both ``None`` and Arrow's ``NaN``."""
+    pdf = pdf.sort_values(["sid", "tid"])
+    cols = {f: pdf[c].tolist() for f, c in _LIST_COLS.items()}
+    sids, doc_ids = pdf["sid"].tolist(), pdf["doc_id"].tolist()
+    is_ent = (pdf.etype.notna() & (pdf.tid == pdf.ent_lo)).tolist()
+    ent_lo, ent_hi = pdf["ent_lo"].tolist(), pdf["ent_hi"].tolist()
+    etype, ent_text = pdf["etype"].tolist(), pdf["ent_text"].tolist()
+    firsts = [i for i in range(len(sids)) if i == 0 or sids[i] != sids[i - 1]]
+    return [
+        Sentence(
+            doc_id=int(doc_ids[lo]),
+            sid=int(sids[lo]),
+            entities=[
+                (int(ent_lo[i]), int(ent_hi[i]), etype[i], ent_text[i])
+                for i in range(lo, hi)
+                if is_ent[i]
+            ],
+            **{f: vals[lo:hi] for f, vals in cols.items()},
         )
+        for lo, hi in zip(firsts, firsts[1:] + [len(sids)])
+    ]
 
 
 def _in_entity(sent: Sentence, tid: int, etype: str) -> bool:
@@ -472,8 +494,7 @@ def evaluate_corpus(
 
     def eval_group(pdf: pd.DataFrame) -> pd.DataFrame:
         out: list[dict] = []
-        for _, g in pdf.groupby("sid"):
-            sent = Sentence.from_pandas(g)
+        for sent in sentences(pdf):
             if timing:
                 rows, gsp_s, eval_s = eval_sentence_timed(sent, nq, use_gsp=use_gsp)
                 out.extend(rows)
@@ -484,6 +505,6 @@ def evaluate_corpus(
                 out.extend(eval_sentence(sent, nq, use_gsp=use_gsp))
         return pd.DataFrame(out, columns=cols)
 
-    # Group by doc (keeps sentences of a doc together; sentence grouping
-    # happens inside the UDF to bound the number of Spark groups).
+    # Group by doc (keeps sentences of a doc together; ``sentences`` cuts
+    # them apart inside the UDF to bound the number of Spark groups).
     return tokens.groupBy("doc_id").applyInPandas(eval_group, schema=schema)

@@ -69,7 +69,7 @@ class TestKokoIndexContents:
 
     def test_posting_list_via_node_join(self, paper):
         _, index = paper
-        hits = koko_index.lookup_hierarchy(index, "^/root/dobj$", attr="parse")
+        hits = dpli.path_bindings(index, pathmatch.parse_path("/root/dobj"))
         assert quints(hits) == [(0, 5, 2, 9, 1), (1, 4, 2, 11, 1)]
 
     def test_compression_on_wiki(self, wiki):

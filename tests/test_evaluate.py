@@ -1,5 +1,8 @@
 """Per-sentence evaluation tests: Example 2.1 end-to-end, span assembly
-with skip plans, GSP/noGSP equivalence, constraint validation."""
+with skip plans, GSP/noGSP equivalence, constraint validation, and the
+token-row decoder."""
+import dataclasses
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -226,3 +229,49 @@ class TestCorpusEvaluation:
         t = df[df.eval_s.notna()]
         assert len(t) == 2  # one timing row per sentence
         assert (t.eval_s >= 0).all()
+
+
+class TestDecoder:
+    # multi-token entities (FIG1, EX31), two entities (EX31), none (plain)
+    TEMPLATES = [
+        fixtures.FIG1,
+        fixtures.EX31,
+        dataclasses.replace(fixtures.FIG1, name="plain", entities=()),
+    ]
+
+    @pytest.fixture
+    def doc(self):
+        """One document's rows, shuffled, with the entity columns null
+        outside entities and ``ent_lo``/``ent_hi`` as float NaN, as Arrow
+        delivers nullable ints."""
+        rows = [
+            r
+            for i, tpl in enumerate(self.TEMPLATES)
+            for r in generator.resolve_template(tpl, np.random.default_rng(0), 4, i)
+        ]
+        pdf = pd.DataFrame(rows).sample(frac=1, random_state=1)
+        pdf[["ent_lo", "ent_hi"]] = pdf[["ent_lo", "ent_hi"]].astype("float64")
+        assert pdf.ent_lo.isna().any()
+        return pdf
+
+    @pytest.mark.parametrize("null", [None, np.nan], ids=["None", "NaN"])
+    def test_matches_per_sid_from_pandas(self, doc, null):
+        doc["etype"] = [e if isinstance(e, str) else null for e in doc.etype]
+        sents = evaluate.sentences(doc)
+        assert [s.sid for s in sents] == [4000, 4001, 4002]
+        assert sents == [
+            evaluate.Sentence.from_pandas(doc[doc.sid == sid]) for sid in (4000, 4001, 4002)
+        ]
+        for sent, tpl in zip(sents, self.TEMPLATES):
+            assert sent.doc_id == 4
+            assert sent.tokens == [t.word for t in tpl.tokens]
+            assert sent.heads == [t.head for t in tpl.tokens]
+            assert sent.entities == [
+                (lo, hi, et, sent.text((lo, hi))) for lo, hi, et in tpl.entities
+            ]
+        assert sents[0].entities == [(3, 5, "Entity", "chocolate ice cream")]
+        assert all(type(v) is int for e in sents[1].entities for v in e[:2])
+
+    def test_from_pandas_rejects_two_sentences(self, doc):
+        with pytest.raises(ValueError):
+            evaluate.Sentence.from_pandas(doc[doc.sid < 4002])

@@ -32,6 +32,18 @@ class TestTemplates:
         assert rows[root]["sub_hi"] == len(rows) - 1
         assert all(r["pl_path"].startswith("/root") for r in rows)
 
+    def test_sentence_index_bounded_by_sids_per_doc(self):
+        import numpy as np
+        tpl = templates.WIKI_MIXTURE[0][0]
+        last = generator.SENTS_PER_DOC - 1
+        rows = generator.resolve_template(tpl, np.random.default_rng(0), 2, last)
+        assert rows[0]["sid"] == 3 * generator.SENTS_PER_DOC - 1
+        # one more would take doc 3's first sid
+        with pytest.raises(ValueError):
+            generator.resolve_template(
+                tpl, np.random.default_rng(0), 2, generator.SENTS_PER_DOC
+            )
+
     def test_mixture_sums_to_one(self):
         assert sum(p for _, p in templates.WIKI_MIXTURE) == pytest.approx(1.0)
 
