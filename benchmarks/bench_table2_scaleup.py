@@ -46,5 +46,5 @@ def test_table2(benchmark, corpora, qname, size):
     benchmark.extra_info["setting"] = f"{qname}/{size}docs"
     for stage in ("Normalize", "DPLI", "LoadArticle", "GSP", "extract", "satisfying"):
         benchmark.extra_info[stage] = round(res.timings[stage], 4)
-    benchmark.extra_info["n_results"] = res.n_extraction_rows
+    benchmark.extra_info["n_results"] = len(res.results)
     benchmark.extra_info["n_candidate_sentences"] = res.n_candidate_sentences

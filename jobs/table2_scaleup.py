@@ -39,7 +39,7 @@ def main() -> None:
             res = engine.run(tokens, index, qf())
             row = f"{name:<2} {n:>6} " + " ".join(
                 f"{res.timings[s]:>11.3f}" for s in STAGES
-            ) + f" {res.n_extraction_rows:>8}"
+            ) + f" {len(res.results):>8}"
             print(row)
         tokens.unpersist()
     spark.stop()

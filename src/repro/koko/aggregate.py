@@ -18,11 +18,14 @@ Descriptor confidence per sentence follows §4.4.1 exactly:
 expanded phrase occurs (in order, gaps allowed) in the canonical clause,
 restricted to the side of the mention the condition names.
 
-Evaluation is distributed per document via ``applyInPandas``; candidate
-values are broadcast in the UDF closure (they are small — distinct
-extraction values). Each document is decoded by ``evaluate.sentences``, and
-mentions are found with the extract clause's own entity-span and
-token-sequence matching.
+The per-document work lives in two functions over one document's decoded
+sentences: ``score_doc`` (one clause's scores) and ``apply_doc`` (every
+clause's threshold, then excluding). The engine calls ``apply_doc`` inside
+its single pass over the candidate articles. ``score_values`` and
+``apply_clauses`` are the corpus-level reference: they score candidate
+values broadcast in the UDF closure (they are small — distinct extraction
+values) through the same ``score_doc``. Mentions are found with the extract
+clause's own entity-span and token-sequence matching.
 """
 from __future__ import annotations
 
@@ -111,11 +114,11 @@ def _descriptor_conf(
 
 
 def _evidence_scores(
-    doc: pd.DataFrame, values: list[str], conds: list[SatCond]
+    sents: list[Sentence], values: list[str], conds: list[SatCond]
 ) -> dict[str, list[float]]:
     """m_i(e) per value for the corpus-scanning conditions of one clause."""
     out = {v: [0.0] * len(conds) for v in values}
-    for sent in sentences(doc):
+    for sent in sents:
         toks = sent.tokens
         clauses = None  # decomposed on the first descriptor condition
         for v in values:
@@ -151,6 +154,32 @@ def _evidence_scores(
     return out
 
 
+def score_doc(
+    sents: list[Sentence], values: list[str], clause: Satisfying
+) -> dict[str, float]:
+    """Score ``Σ_i w_i · m_i(e)`` of each value over one document's sentences."""
+    conds = list(clause.conds)
+    scan_conds = [c for c in conds if c.kind in _SCAN_KINDS]
+    ev = (
+        _evidence_scores(sents, values, scan_conds)
+        if scan_conds
+        else {v: [] for v in values}
+    )
+    scores = {}
+    for v in values:
+        score = 0.0
+        k = 0
+        for cond in conds:
+            if cond.kind in _SCAN_KINDS:
+                m = ev[v][k]
+                k += 1
+            else:
+                m = _string_level(cond, v)
+            score += cond.weight * m
+        scores[v] = score
+    return scores
+
+
 def score_values(
     tokens: DataFrame, candidates: pd.DataFrame, clause: Satisfying
 ) -> pd.DataFrame:
@@ -160,8 +189,6 @@ def score_values(
         int(d): sorted(g["value"].unique())
         for d, g in candidates.groupby("doc_id")
     }
-    conds = list(clause.conds)
-    scan_idx = [i for i, c in enumerate(conds) if c.kind in _SCAN_KINDS]
     schema = T.StructType(
         [
             T.StructField("doc_id", T.LongType()),
@@ -175,25 +202,10 @@ def score_values(
         values = cand_by_doc.get(doc_id, [])
         if not values:
             return pd.DataFrame(columns=["doc_id", "value", "score"])
-        scan_conds = [conds[i] for i in scan_idx]
-        ev = (
-            _evidence_scores(pdf, values, scan_conds)
-            if scan_conds
-            else {v: [] for v in values}
+        scores = score_doc(sentences(pdf), values, clause)
+        return pd.DataFrame(
+            [{"doc_id": doc_id, "value": v, "score": s} for v, s in scores.items()]
         )
-        rows = []
-        for v in values:
-            score = 0.0
-            k = 0
-            for cond in conds:
-                if cond.kind in _SCAN_KINDS:
-                    m = ev[v][k]
-                    k += 1
-                else:
-                    m = _string_level(cond, v)
-                score += cond.weight * m
-            rows.append({"doc_id": doc_id, "value": v, "score": score})
-        return pd.DataFrame(rows)
 
     doc_ids = list(cand_by_doc)
     scoped = tokens.where(F.col("doc_id").isin(doc_ids)) if doc_ids else tokens.limit(0)
@@ -211,6 +223,21 @@ def excluded(value: str, conds: list[SatCond]) -> bool:
         if c.kind == "in_dict" and value in DICTIONARIES.get(c.arg, set()):
             return True
     return False
+
+
+def apply_doc(sents: list[Sentence], rows: list[dict], nq: NormQuery) -> list[dict]:
+    """The per-document form of ``apply_clauses``: keep the extraction
+    ``rows`` of the document ``sents`` whose value passes every satisfying
+    clause's threshold and is not excluded."""
+    for clause in nq.query.satisfying:
+        values = sorted({r[clause.var] for r in rows} - {None})
+        scores = score_doc(sents, values, clause)
+        passing = {v for v, s in scores.items() if s >= clause.threshold}
+        rows = [r for r in rows if r[clause.var] in passing]
+    exc = nq.query.excluding
+    if exc is not None:
+        rows = [r for r in rows if not excluded(r[exc.var], exc.conds)]
+    return rows
 
 
 def apply_clauses(

@@ -12,10 +12,11 @@ Two modes reproduce Table 1:
   elastic contributes all t(t+1)/2 spans), with adjacency checked last.
 
 Sentence-level evaluation is pure Python (sentences are tiny and already
-pruned by DPLI); the corpus-level driver wraps it in ``applyInPandas``
-grouped by document. ``sentences`` is the one decoder from token rows to
-the in-memory ``Sentence``: it serves this driver and the satisfying-clause
-scan in ``aggregate`` alike. A span ``(s, e)`` is inclusive; empty spans
+pruned by DPLI); the engine's per-document pass and the corpus-level
+reference ``evaluate_corpus`` both run it inside ``applyInPandas`` grouped
+by document. ``sentences`` is the one decoder from token rows to the
+in-memory ``Sentence``: it serves them and the satisfying-clause scan in
+``aggregate`` alike. A span ``(s, e)`` is inclusive; empty spans
 are ``(s, s-1)``.
 """
 from __future__ import annotations
@@ -467,15 +468,11 @@ def evaluate_corpus(
     nq: NormQuery,
     candidate_sids: DataFrame | None = None,
     use_gsp: bool = True,
-    timing: bool = False,
 ) -> DataFrame:
     """Distributed extract-clause evaluation: per-sentence evaluation via
-    ``applyInPandas`` over DPLI's candidate sentences.
-
-    With ``timing=True``, each sentence additionally emits one row with
-    null variables carrying ``gsp_s`` / ``eval_s`` — summed by the engine
-    into Table 2's GSP and extract columns.
-    """
+    ``applyInPandas`` over DPLI's candidate sentences (all sentences when
+    ``candidate_sids`` is None) — the unpruned reference the engine's
+    single per-document pass is checked against."""
     if candidate_sids is not None:
         tokens = tokens.join(
             candidate_sids.withColumnRenamed("x", "sid"), "sid", "left_semi"
@@ -484,25 +481,13 @@ def evaluate_corpus(
         T.StructField("doc_id", T.LongType()),
         T.StructField("sid", T.LongType()),
     ] + [T.StructField(v, T.StringType()) for v in emitted_vars(nq)]
-    if timing:
-        fields += [
-            T.StructField("gsp_s", T.DoubleType()),
-            T.StructField("eval_s", T.DoubleType()),
-        ]
     schema = T.StructType(fields)
     cols = [f.name for f in fields]
 
     def eval_group(pdf: pd.DataFrame) -> pd.DataFrame:
         out: list[dict] = []
         for sent in sentences(pdf):
-            if timing:
-                rows, gsp_s, eval_s = eval_sentence_timed(sent, nq, use_gsp=use_gsp)
-                out.extend(rows)
-                out.append(
-                    {"doc_id": sent.doc_id, "sid": sent.sid, "gsp_s": gsp_s, "eval_s": eval_s}
-                )
-            else:
-                out.extend(eval_sentence(sent, nq, use_gsp=use_gsp))
+            out.extend(eval_sentence(sent, nq, use_gsp=use_gsp))
         return pd.DataFrame(out, columns=cols)
 
     # Group by doc (keeps sentences of a doc together; ``sentences`` cuts

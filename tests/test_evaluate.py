@@ -222,14 +222,6 @@ class TestCorpusEvaluation:
         assert len(df) == 2
         assert set(df.e) == {"chocolate ice cream", "cheesecake"}
 
-    def test_timing_rows(self, spark):
-        tokens = fixtures.paper_tokens(spark)
-        nq = normalize.normalize(queries.example_21())
-        df = evaluate.evaluate_corpus(tokens, nq, timing=True).toPandas()
-        t = df[df.eval_s.notna()]
-        assert len(t) == 2  # one timing row per sentence
-        assert (t.eval_s >= 0).all()
-
 
 class TestDecoder:
     # multi-token entities (FIG1, EX31), two entities (EX31), none (plain)
