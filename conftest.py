@@ -58,9 +58,11 @@ def spark() -> SparkSession:
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    Automatic broadcast joins are disabled so papers about shuffle/join
+    algorithms actually exercise the shuffle path at SF~=0.1. The
+    sanctioned way to get a broadcast join is an explicit ``F.broadcast``
+    hint on a side that is provably small (the KOKO index build, DPLI and
+    the engine use them); the threshold itself is never raised.
     """
     s = (
         SparkSession.builder.appName("repro")

@@ -12,7 +12,7 @@ from time import perf_counter
 
 from pyspark.sql import DataFrame
 
-from ..indexing import advinverted, inverted, subtree
+from ..indexing import advinverted, inverted, sidsets, subtree
 from ..indexing.koko_index import KokoIndex
 from ..koko import dpli, fullscan, normalize
 from .synthetic_tree import TreeQuery
@@ -36,10 +36,7 @@ def _abs_paths(tq: TreeQuery) -> tuple[normalize.NormQuery, list]:
 
 
 def koko_candidates(index: KokoIndex, paths: list) -> DataFrame:
-    cand: DataFrame | None = None
-    for steps in paths:
-        s = dpli.path_bindings(index, steps).select("x").distinct()
-        cand = s if cand is None else cand.join(s, "x")
+    cand = sidsets.intersect([dpli.path_bindings(index, steps) for steps in paths])
     assert cand is not None
     return cand
 

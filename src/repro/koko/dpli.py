@@ -7,10 +7,16 @@ the result is the candidate binding set for every variable the path
 dominates. Entity-typed output variables bind to the entity index.
 
 Candidate sentences = sentences having bindings for **every** dominant
-path and every entity variable (the extract clause is conjunctive); an
-empty extract clause leaves all sentences candidates (§4.3). Everything
-here is DataFrame algebra over the indices — per-sentence work happens
-later in ``evaluate``.
+path and every entity variable (the extract clause is conjunctive),
+intersected in one aggregation by ``sidsets.intersect``; an empty extract
+clause leaves all sentences candidates (§4.3). Everything here is
+DataFrame algebra over the indices — per-sentence work happens later in
+``evaluate``.
+
+Every join here has a side that is small by construction: a literal
+word's posting list, or the word-path result positioned at such a list.
+That side is broadcast (``F.broadcast``), so scanning ``W`` never
+shuffles it; the session's automatic broadcast threshold stays off.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..indexing import pathmatch
+from ..indexing import pathmatch, sidsets
 from ..indexing.koko_index import KokoIndex, lookup_word
 from ..indexing.pathmatch import Step
 from .normalize import NormQuery
@@ -35,7 +41,8 @@ def _join_word_path(index: KokoIndex, steps: list[Step]) -> DataFrame | None:
     """Successively join word-index posting lists along the word path,
     enforcing ancestor-descendant + depth-gap conditions (Example 4.4).
     Returns quintuples positioned at the *last* word step, or None if the
-    path has no word constraints."""
+    path has no word constraints. Each next word's posting list is the
+    broadcast side."""
     words = pathmatch.word_path_words(steps)
     if not words:
         return None
@@ -50,7 +57,7 @@ def _join_word_path(index: KokoIndex, steps: list[Step]) -> DataFrame | None:
         q = (
             _q(q, "1")
             .join(
-                _q(nxt, "2"),
+                F.broadcast(_q(nxt, "2")),
                 (F.col("x1") == F.col("x2"))
                 & (F.col("u1") <= F.col("u2"))
                 & (F.col("v1") >= F.col("v2"))
@@ -82,6 +89,8 @@ def path_bindings(index: KokoIndex, steps: list[Step]) -> DataFrame:
     The P1 ⋈ P2 join on (x, y) of Algorithm 1 degenerates to a single
     scan of ``W``: every W row carries both its PL and POS node id, so
     "token in both posting lists" is two ``isin`` predicates on one row.
+    The word-path bindings, drawn from the posting lists of the path's
+    literal words, are broadcast into the join with that scan.
     """
     p1_rx = pathmatch.label_path_regex(steps, "parse")
     p2_rx = pathmatch.label_path_regex(steps, "pos")
@@ -118,7 +127,10 @@ def path_bindings(index: KokoIndex, steps: list[Step]) -> DataFrame:
         # Last element of the word path is a word: same-token join.
         return (
             _q(p, "1")
-            .join(_q(q, "2"), (F.col("x1") == F.col("x2")) & (F.col("y1") == F.col("y2")))
+            .join(
+                F.broadcast(_q(q, "2")),
+                (F.col("x1") == F.col("x2")) & (F.col("y1") == F.col("y2")),
+            )
             .select(*[F.col(f"{c}1").alias(c) for c in QUINT])
         )
     g, exact = pathmatch.gap(steps, last_word_i, len(steps) - 1)
@@ -128,7 +140,7 @@ def path_bindings(index: KokoIndex, steps: list[Step]) -> DataFrame:
     return (
         _q(p, "1")
         .join(
-            _q(q, "2"),
+            F.broadcast(_q(q, "2")),
             (F.col("x1") == F.col("x2"))
             & (F.col("u2") <= F.col("u1"))
             & (F.col("v2") >= F.col("v1"))
@@ -169,9 +181,5 @@ def run(index: KokoIndex, nq: NormQuery) -> DPLIResult:
             e = e.where(F.col("etype") == etype)
         ebind[v] = e
 
-    sid_sets = [df.select("x").distinct() for df in pbind.values()]
-    sid_sets += [e.select("x").distinct() for e in ebind.values()]
-    cand = None
-    for s in sid_sets:
-        cand = s if cand is None else cand.join(s, "x")
+    cand = sidsets.intersect([*pbind.values(), *ebind.values()])
     return DPLIResult(bindings=bindings, entity_bindings=ebind, candidate_sids=cand)

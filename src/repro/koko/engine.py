@@ -1,22 +1,34 @@
 """End-to-end KOKO query execution with Table-2-style stage timings.
 
 Pipeline (Figure 2): Normalize → DPLI (index lookups, candidate
-sentences) → one pass over the candidate articles. The pass is a single
-``groupBy("doc_id").applyInPandas`` over the tokens of every document
-holding a candidate sentence, each row flagged ``is_cand``. Per document it
-decodes the article once (LoadArticle), evaluates the extract clause on
-its candidate sentences with GSP skip plans (GSP + extract), scores the
-satisfying values against the same sentences and applies thresholds and
-``excluding`` (satisfying). It returns one row per document: the
-surviving output tuples plus that document's timers and counts. The
-driver makes one collect and drops duplicate tuples.
+sentences) → one pass over the candidate articles. DPLI's candidate sids
+are collected to the driver and grouped into a ``(doc_id, cand_sids)``
+frame. The pass is a single ``groupBy("doc_id").applyInPandas`` over the
+tokens of every document holding a candidate sentence, each row flagged
+``is_cand``. Per document it decodes the article once (LoadArticle),
+evaluates the extract clause on its candidate sentences with GSP skip
+plans (GSP + extract), scores the satisfying values against the same
+sentences and applies thresholds and ``excluding`` (satisfying). It
+returns one row per document: the surviving output tuples plus that
+document's timers and counts. The driver makes one collect and drops
+duplicate tuples.
+
+Broadcasts: the session's automatic broadcast threshold is off, so every
+broadcast is an explicit ``F.broadcast`` on a side that is small by
+construction. ``koko_index.build`` broadcasts the PL/POS node tables (one
+row per distinct path, >99.7% of tree nodes merged away); DPLI broadcasts
+the posting lists of the query's literal words; here the
+``(doc_id, cand_sids)`` frame (one row per candidate document, already on
+the driver) is broadcast into the token scan, so only candidate
+articles reach the pass's shuffle.
 
 Timings use the paper's column names. ``Normalize`` and ``DPLI`` are
-driver wall times (DPLI includes materializing the candidate sids);
-``LoadArticle`` (decode), ``GSP`` (skip-plan generation), ``extract``
-(the evaluator loop without plan generation) and ``satisfying`` (scoring,
-thresholds, excluding) are in-UDF times summed over documents;
-``extract_wall`` is the wall time of the whole pass, Spark jobs included.
+driver wall times (DPLI is planning the lookups plus the one collect of
+the candidate sids); ``LoadArticle`` (decode), ``GSP`` (skip-plan
+generation), ``extract`` (the evaluator loop without plan generation) and
+``satisfying`` (scoring, thresholds, excluding) are in-UDF times summed
+over documents; ``extract_wall`` is the wall time of the whole pass,
+Spark jobs included.
 """
 from __future__ import annotations
 
@@ -116,25 +128,27 @@ def run(
     timings["Normalize"] = perf_counter() - t0
 
     t0 = perf_counter()
-    dres = dpli.run(index, nq)
-    cand = dres.candidate_sids
+    cand = dpli.run(index, nq).candidate_sids
     if cand is not None:
-        cand = cand.cache()
-        cand.count()  # materialize, so DPLI's time is its own
+        cand = [r.x for r in cand.collect()]
     timings["DPLI"] = perf_counter() - t0
 
     # The candidate articles: every token of a document holding a
     # candidate sentence (the paper loads them from the DBMS into memory).
-    # Joining each doc's candidate sids on doc_id shuffles the tokens once:
-    # the join's partitioning already serves the groupBy.
+    # The (doc_id, cand_sids) frame has one row per candidate document, so
+    # it is broadcast: only candidate articles' tokens reach the shuffle
+    # of the groupBy.
     t0 = perf_counter()
     if cand is None:
         articles = tokens.withColumn("is_cand", F.lit(True))
     else:
-        cand_docs = cand.groupBy(
-            (F.col("x") / SENTS_PER_DOC).cast("long").alias("doc_id")
-        ).agg(F.collect_list("x").alias("cand_sids"))
-        articles = tokens.join(cand_docs, "doc_id").select(
+        by_doc: dict[int, list[int]] = {}
+        for sid in cand:
+            by_doc.setdefault(sid // SENTS_PER_DOC, []).append(sid)
+        cand_docs = tokens.sparkSession.createDataFrame(
+            list(by_doc.items()), "doc_id long, cand_sids array<long>"
+        )
+        articles = tokens.join(F.broadcast(cand_docs), "doc_id").select(
             *tokens.columns, F.array_contains("cand_sids", F.col("sid")).alias("is_cand")
         )
     docs = (
@@ -145,8 +159,6 @@ def run(
     timings["extract_wall"] = perf_counter() - t0
     for key, col in _TIMERS.items():
         timings[key] = float(sum(d[col] for d in docs))
-    if cand is not None:
-        cand.unpersist()
 
     out_vars = [v for v, _ in nq.query.outputs]
     results = pd.DataFrame(

@@ -1,11 +1,15 @@
 """DPLI (Algorithm 1) tests against the paper's worked examples and the
 full-scan oracle: lookups must be *complete* (no true binding missed)."""
+import random
+
 import pytest
 from pyspark.sql import functions as F
 
+from repro.bench import synthetic_tree
 from repro.corpus import fixtures, generator
-from repro.indexing import koko_index, pathmatch
+from repro.indexing import koko_index, pathmatch, sidsets
 from repro.koko import dpli, fullscan, normalize, queries
+from repro.koko.ast import Query
 from repro.oracle import assert_equivalent
 
 
@@ -178,3 +182,83 @@ class TestRun:
             ).collect()
         }
         assert true <= cand
+
+
+ENTITY_VARS = [("e1", "Person"), ("e2", "Date"), ("e3", "Entity")]
+
+
+def _nway_join(index, nq):
+    """DPLI's earlier intersection: one ``distinct`` per sid set, joined
+    pairwise on ``x``."""
+    dominants = sorted({nq.dominant[v] for v in nq.all_node_vars()})
+    sets = [
+        dpli.path_bindings(index, nq.all_node_vars()[d]).select("x").distinct()
+        for d in dominants
+    ]
+    for etype in dpli.entity_vars(nq).values():
+        e = index.entity if etype == "Entity" else index.entity.where(F.col("etype") == etype)
+        sets.append(e.select("x").distinct())
+    cand = None
+    for s in sets:
+        cand = s if cand is None else cand.join(s, "x")
+    return cand, len(sets)
+
+
+def _sids(df):
+    return None if df is None else {r.x for r in df.collect()}
+
+
+@pytest.fixture(scope="module")
+def tree_sample(wiki):
+    """A seeded sample of SyntheticTree queries, each with 0–3 entity
+    variables added, plus entity-only queries and the empty query: 0, 1,
+    2 and ≥3 sid sets. → [(name, nq, dpli sids, n-way sids, n_sets)]."""
+    tokens, index = wiki
+    picked = random.Random(11).sample(synthetic_tree.benchmark(tokens, seed=0), 36)
+    qs = [("empty", Query(outputs=[]))]
+    qs += [(f"entities{k}", Query(outputs=ENTITY_VARS[:k])) for k in (1, 2, 3)]
+    qs += [
+        (f"{tq.name}+e{i % 4}", Query(outputs=ENTITY_VARS[: i % 4], node_defs=list(tq.defs)))
+        for i, tq in enumerate(picked)
+    ]
+    out = []
+    for name, q in qs:
+        nq = normalize.normalize(q)
+        old, n_sets = _nway_join(index, nq)
+        out.append((name, nq, _sids(dpli.run(index, nq).candidate_sids), _sids(old), n_sets))
+    return out
+
+
+class TestIntersection:
+    def test_sample_covers_set_counts(self, tree_sample):
+        counts = {min(n, 3) for *_, n in tree_sample}
+        assert counts == {0, 1, 2, 3}
+        assert len(tree_sample) == 40
+
+    def test_matches_nway_join(self, tree_sample):
+        """The one-aggregation intersection equals the pairwise joins."""
+        bad = [name for name, _, got, old, _ in tree_sample if got != old]
+        assert not bad, bad
+
+    def test_complete_vs_fullscan(self, wiki, tree_sample):
+        """Candidates ⊇ the sentences with a consistent node assignment
+        and an entity of every required type (§4.2.2)."""
+        tokens, _ = wiki
+        all_sids = {r.sid for r in tokens.select("sid").distinct().collect()}
+        bad = []
+        for name, nq, got, _, _ in tree_sample:
+            true = _sids(fullscan.true_sids(tokens, nq))
+            for etype in dpli.entity_vars(nq).values():
+                ents = tokens.where(F.col("etype").isNotNull())
+                if etype != "Entity":
+                    ents = ents.where(F.col("etype") == etype)
+                true &= {r.sid for r in ents.select("sid").distinct().collect()}
+            if not true <= (all_sids if got is None else got):
+                bad.append(name)
+        assert not bad, bad
+
+    def test_many_sets(self, spark):
+        """More sets than a 64-bit mask has bits: frames k = [k, k+100)."""
+        frames = [spark.range(k, k + 100).toDF("x") for k in range(70)]
+        assert _sids(sidsets.intersect(frames)) == set(range(69, 100))
+        assert sidsets.intersect([]) is None

@@ -1,7 +1,8 @@
 """End-to-end engine tests: the three §6.3 queries on a wiki-lite corpus,
 stage timings and counts, index-pruning consistency (pruned evaluation must
 equal full-scan evaluation for every query of ``koko.queries``), execution
-invariance across shuffle partition counts, and a zero-candidate query."""
+invariance across shuffle partition counts, the Spark jobs one query
+launches, and a zero-candidate query."""
 import pytest
 from pyspark.sql import functions as F
 
@@ -177,8 +178,13 @@ class TestPruningInvariance:
 class TestExecutionInvariance:
     @pytest.mark.parametrize(
         "corpus,qf",
-        [("wiki", queries.title), ("sprudge", lambda: queries.cafe(0.6))],
-        ids=["title", "cafe"],
+        [
+            ("wiki", queries.title),
+            ("sprudge", lambda: queries.cafe(0.6)),
+            ("wiki", queries.date_of_birth),
+            ("facility", lambda: queries.facility(0.4)),
+        ],
+        ids=["title", "cafe", "date_of_birth", "facility"],
     )
     def test_shuffle_partitions(self, spark, corpora, corpus, qf):
         tokens, index = corpora(corpus)
@@ -192,6 +198,30 @@ class TestExecutionInvariance:
         finally:
             spark.conf.set(conf, saved)
         assert out[1] and out[1] == out[64]
+
+
+class TestJobCount:
+    """A warm query launches at most six Spark jobs: the broadcast
+    joins keep DPLI, LoadArticle and the per-document pass from adding
+    shuffle jobs."""
+
+    @pytest.mark.parametrize(
+        "corpus,qf",
+        [("wiki", queries.title), ("sprudge", lambda: queries.cafe(0.6))],
+        ids=["title", "cafe"],
+    )
+    def test_at_most_six_jobs(self, spark, corpora, corpus, qf):
+        tokens, index = corpora(corpus)
+        engine.run(tokens, index, qf())  # warm: the driver's node-table copies
+        sc = spark.sparkContext
+        group = f"test-job-count-{corpus}"
+        sc.setJobGroup(group, "engine.run job count")
+        try:
+            engine.run(tokens, index, qf())
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        jobs = sc.statusTracker().getJobIdsForGroup(group)
+        assert 0 < len(jobs) <= 6
 
 
 class TestZeroCandidates:
