@@ -50,12 +50,16 @@ def main() -> None:
         tokens.cache().count()
         for n_atoms in (1, 3, 5):
             pairs = matching_pairs(tokens, n_atoms, args.pairs)
+            if not pairs:
+                raise RuntimeError(
+                    f"{cname}, {n_atoms} atoms: no (query, sentence) pairs with bindings"
+                )
             times = {}
             for mode, use_gsp in (("gsp", True), ("nogsp", False)):
                 t0 = perf_counter()
                 for nq, s in pairs:
                     evaluate.eval_sentence(s, nq, use_gsp=use_gsp)
-                times[mode] = (perf_counter() - t0) * 1000 / max(1, len(pairs))
+                times[mode] = (perf_counter() - t0) * 1000 / len(pairs)
             print(
                 f"{cname:<10} {n_atoms:>5} {times['gsp']:>12.3f} {times['nogsp']:>14.3f}"
             )

@@ -29,7 +29,10 @@ def main() -> None:
         "T": queries.title,
         "D": queries.date_of_birth,
     }
-    header = f"{'q':<2} {'docs':>6} " + " ".join(f"{s:>11}" for s in STAGES) + f" {'results':>8}"
+    header = (
+        f"{'q':<2} {'docs':>6} " + " ".join(f"{s:>11}" for s in STAGES)
+        + f" {'results':>8} {'cand_sents':>10}"
+    )
     print(header)
     for n in sizes:
         tokens = generator.wiki_corpus(spark, n, seed=13)
@@ -39,7 +42,7 @@ def main() -> None:
             res = engine.run(tokens, index, qf())
             row = f"{name:<2} {n:>6} " + " ".join(
                 f"{res.timings[s]:>11.3f}" for s in STAGES
-            ) + f" {len(res.results):>8}"
+            ) + f" {len(res.results):>8} {res.n_candidate_sentences:>10}"
             print(row)
         tokens.unpersist()
     spark.stop()

@@ -35,7 +35,7 @@ def translate(query: Query) -> Query:
 def run(tokens: DataFrame, query: Query) -> OdinResult:
     nq = normalize.normalize(translate(query))
     t0 = perf_counter()
-    ext = evaluate.evaluate_corpus(tokens, nq, candidate_sids=None)
+    ext = evaluate.evaluate_corpus(tokens, nq)
     out_cols = [v for v, _ in nq.query.outputs]
     res = ext.toPandas()[["doc_id"] + out_cols].drop_duplicates().reset_index(drop=True)
     return OdinResult(results=res, seconds=perf_counter() - t0)

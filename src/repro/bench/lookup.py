@@ -12,8 +12,7 @@ from time import perf_counter
 
 from pyspark.sql import DataFrame
 
-from ..indexing import advinverted, inverted, sidsets, subtree
-from ..indexing.koko_index import KokoIndex
+from ..indexing import advinverted, inverted, subtree
 from ..koko import dpli, fullscan, normalize
 from .synthetic_tree import TreeQuery
 
@@ -29,18 +28,6 @@ class LookupResult:
     supported: bool = True
 
 
-def _abs_paths(tq: TreeQuery) -> tuple[normalize.NormQuery, list]:
-    nq = normalize.normalize(tq.query())
-    dominants = sorted({nq.dominant[v] for v in nq.abs_paths})
-    return nq, [nq.abs_paths[d] for d in dominants]
-
-
-def koko_candidates(index: KokoIndex, paths: list) -> DataFrame:
-    cand = sidsets.intersect([dpli.path_bindings(index, steps) for steps in paths])
-    assert cand is not None
-    return cand
-
-
 def run_lookup(
     scheme: str,
     index,
@@ -48,12 +35,12 @@ def run_lookup(
     tq: TreeQuery,
     true_sids: set | None = None,
 ) -> LookupResult:
-    nq, dom_paths = _abs_paths(tq)
+    nq = normalize.normalize(tq.query())
     all_paths = list(nq.abs_paths.values())
     try:
         t0 = perf_counter()
         if scheme == "koko":
-            cand = koko_candidates(index, dom_paths)
+            cand = dpli.run(index, nq)
         elif scheme == "inverted":
             cand = inverted.candidate_sentences(index, all_paths)
         elif scheme == "advinverted":

@@ -313,7 +313,3 @@ HAPPY_MIXTURE: list[tuple[Template, float]] = [
     (HAPPY_XCOMP, 0.3),
     (HAPPY_GIFT, 0.3),
 ]
-
-
-def mixture_names(mix: list[tuple[Template, float]]) -> list[str]:
-    return [t.name for t, _ in mix]

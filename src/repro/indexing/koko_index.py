@@ -21,12 +21,9 @@ argument for hierarchy indices).
 """
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from dataclasses import field
-
-from pyspark.sql import DataFrame, SparkSession, Window
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 
@@ -147,16 +144,3 @@ def compression_stats(tokens: DataFrame, index: KokoIndex) -> dict[str, float]:
         "pl_reduction": 1.0 - index.pl_nodes.count() / n_tokens,
         "pos_reduction": 1.0 - index.pos_nodes.count() / n_tokens,
     }
-
-
-def save(index: KokoIndex, path: str) -> None:
-    """Persist all indices as Parquet (the paper persists to PostgreSQL)."""
-    for name, df in index.frames().items():
-        df.write.mode("overwrite").parquet(os.path.join(path, name))
-
-
-def load(spark: SparkSession, path: str) -> KokoIndex:
-    return KokoIndex(
-        **{name: spark.read.parquet(os.path.join(path, name))
-           for name in ("word", "entity", "pl_nodes", "pos_nodes")}
-    )

@@ -2,14 +2,16 @@
 
 For every *dominant* path: decompose into a parse-label path, a POS-tag
 path and a word path (Example 4.2); look up the PL index, POS index and
-word index; join the posting lists with the paper's quintuple join rules;
-the result is the candidate binding set for every variable the path
+word index; join the posting lists with the paper's quintuple join rules
+(``path_bindings``); the result covers every variable the path
 dominates. Entity-typed output variables bind to the entity index.
 
-Candidate sentences = sentences having bindings for **every** dominant
-path and every entity variable (the extract clause is conjunctive),
-intersected in one aggregation by ``sidsets.intersect``; an empty extract
-clause leaves all sentences candidates (§4.3). Everything here is
+``run`` returns the candidate sentences: those having bindings for
+**every** dominant path and every entity variable (the extract clause is
+conjunctive), intersected in one aggregation by ``sidsets.intersect``; an
+empty extract clause leaves all sentences candidates (§4.3), and ``run``
+returns None. Only the sids leave DPLI: the evaluator re-derives exact
+per-sentence bindings itself. Everything here is
 DataFrame algebra over the indices — per-sentence work happens later in
 ``evaluate``.
 
@@ -19,8 +21,6 @@ That side is broadcast (``F.broadcast``), so scanning ``W`` never
 shuffles it; the session's automatic broadcast threshold stays off.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -150,13 +150,6 @@ def path_bindings(index: KokoIndex, steps: list[Step]) -> DataFrame:
     )
 
 
-@dataclass
-class DPLIResult:
-    bindings: dict[str, DataFrame]        # var → quintuples of its dominant path
-    entity_bindings: dict[str, DataFrame]  # entity var → (x, u, v, entity)
-    candidate_sids: DataFrame | None       # None ⇒ all sentences
-
-
 def entity_vars(nq: NormQuery) -> dict[str, str]:
     """Output variables bound to the entity index (type ≠ Str and not
     defined as a node or span variable) → required etype ('Entity'=any)."""
@@ -167,19 +160,14 @@ def entity_vars(nq: NormQuery) -> dict[str, str]:
     }
 
 
-def run(index: KokoIndex, nq: NormQuery) -> DPLIResult:
-    dominants = sorted({nq.dominant[v] for v in nq.all_node_vars()})
-    pbind: dict[str, DataFrame] = {
-        d: path_bindings(index, nq.all_node_vars()[d]) for d in dominants
-    }
-    bindings = {v: pbind[nq.dominant[v]] for v in nq.all_node_vars()}
-
-    ebind: dict[str, DataFrame] = {}
-    for v, etype in entity_vars(nq).items():
+def run(index: KokoIndex, nq: NormQuery) -> DataFrame | None:
+    """Candidate sids (column ``x``): the sentences with bindings for every
+    dominant path and every entity variable; None when nothing constrains
+    the sentences (no extract clause)."""
+    paths = nq.all_node_vars()
+    dominants = sorted({nq.dominant[v] for v in paths})
+    sid_sets = [path_bindings(index, paths[d]) for d in dominants]
+    for etype in entity_vars(nq).values():
         e = index.entity
-        if etype != "Entity":
-            e = e.where(F.col("etype") == etype)
-        ebind[v] = e
-
-    cand = sidsets.intersect([*pbind.values(), *ebind.values()])
-    return DPLIResult(bindings=bindings, entity_bindings=ebind, candidate_sids=cand)
+        sid_sets.append(e if etype == "Entity" else e.where(F.col("etype") == etype))
+    return sidsets.intersect(sid_sets)

@@ -77,7 +77,7 @@ def _pass_schema(nq: NormQuery) -> T.StructType:
     )
 
 
-def _doc_pass(nq: NormQuery, use_gsp: bool) -> Callable[[pd.DataFrame], pd.DataFrame]:
+def _doc_pass(nq: NormQuery) -> Callable[[pd.DataFrame], pd.DataFrame]:
     """One document's tokens (with ``is_cand``) → its output tuples,
     timers and counts, as one row."""
     out_vars = [v for v, _ in nq.query.outputs]
@@ -94,7 +94,7 @@ def _doc_pass(nq: NormQuery, use_gsp: bool) -> Callable[[pd.DataFrame], pd.DataF
         for sent in sents:
             if sent.sid not in cand:
                 continue
-            r, g, e = evaluate.eval_sentence_timed(sent, nq, use_gsp=use_gsp)
+            r, g, e = evaluate.eval_sentence_timed(sent, nq)
             rows += r
             gsp_s += g
             eval_s += e
@@ -114,13 +114,7 @@ def _doc_pass(nq: NormQuery, use_gsp: bool) -> Callable[[pd.DataFrame], pd.DataF
     return run_doc
 
 
-def run(
-    tokens: DataFrame,
-    index: KokoIndex,
-    query: Query,
-    *,
-    use_gsp: bool = True,
-) -> RunResult:
+def run(tokens: DataFrame, index: KokoIndex, query: Query) -> RunResult:
     timings: dict[str, float] = {}
 
     t0 = perf_counter()
@@ -128,7 +122,7 @@ def run(
     timings["Normalize"] = perf_counter() - t0
 
     t0 = perf_counter()
-    cand = dpli.run(index, nq).candidate_sids
+    cand = dpli.run(index, nq)
     if cand is not None:
         cand = [r.x for r in cand.collect()]
     timings["DPLI"] = perf_counter() - t0
@@ -137,10 +131,11 @@ def run(
     # candidate sentence (the paper loads them from the DBMS into memory).
     # The (doc_id, cand_sids) frame has one row per candidate document, so
     # it is broadcast: only candidate articles' tokens reach the shuffle
-    # of the groupBy.
+    # of the groupBy, and of those only the columns the decoder reads.
     t0 = perf_counter()
+    cols = evaluate.DECODE_COLS
     if cand is None:
-        articles = tokens.withColumn("is_cand", F.lit(True))
+        articles = tokens.select(*cols, F.lit(True).alias("is_cand"))
     else:
         by_doc: dict[int, list[int]] = {}
         for sid in cand:
@@ -149,11 +144,11 @@ def run(
             list(by_doc.items()), "doc_id long, cand_sids array<long>"
         )
         articles = tokens.join(F.broadcast(cand_docs), "doc_id").select(
-            *tokens.columns, F.array_contains("cand_sids", F.col("sid")).alias("is_cand")
+            *cols, F.array_contains("cand_sids", F.col("sid")).alias("is_cand")
         )
     docs = (
         articles.groupBy("doc_id")
-        .applyInPandas(_doc_pass(nq, use_gsp), schema=_pass_schema(nq))
+        .applyInPandas(_doc_pass(nq), schema=_pass_schema(nq))
         .collect()
     )
     timings["extract_wall"] = perf_counter() - t0

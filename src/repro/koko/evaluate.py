@@ -44,10 +44,8 @@ class Sentence:
     doc_id: int
     sid: int
     tokens: list[str]
-    pos: list[str]
     labels: list[str]
     heads: list[int]
-    depths: list[int]
     sub_lo: list[int]
     sub_hi: list[int]
     triple: list[str]
@@ -71,10 +69,13 @@ class Sentence:
 
 
 _LIST_COLS = {
-    "tokens": "token", "pos": "pos", "labels": "label", "heads": "head",
-    "depths": "depth", "sub_lo": "sub_lo", "sub_hi": "sub_hi",
-    "triple": "triple_path",
+    "tokens": "token", "labels": "label", "heads": "head",
+    "sub_lo": "sub_lo", "sub_hi": "sub_hi", "triple": "triple_path",
 }
+# The token columns ``sentences`` reads; no other column needs to reach it.
+DECODE_COLS = [
+    "doc_id", "sid", "tid", *_LIST_COLS.values(), "etype", "ent_lo", "ent_hi", "ent_text",
+]
 
 
 def sentences(pdf: pd.DataFrame) -> list[Sentence]:
@@ -452,31 +453,20 @@ def eval_sentence(sent: Sentence, nq: NormQuery, use_gsp: bool = True) -> list[d
     return SentenceEvaluator(sent, nq, use_gsp).run()
 
 
-def eval_sentence_timed(
-    sent: Sentence, nq: NormQuery, use_gsp: bool = True
-) -> tuple[list[dict], float, float]:
-    """(rows, gsp_seconds, eval_seconds) — eval excludes plan generation."""
-    ev = SentenceEvaluator(sent, nq, use_gsp)
+def eval_sentence_timed(sent: Sentence, nq: NormQuery) -> tuple[list[dict], float, float]:
+    """(rows, gsp_seconds, eval_seconds) with GSP on — eval excludes plan
+    generation."""
+    ev = SentenceEvaluator(sent, nq)
     t0 = perf_counter()
     rows = ev.run()
     total = perf_counter() - t0
     return rows, ev.gsp_s, max(0.0, total - ev.gsp_s)
 
 
-def evaluate_corpus(
-    tokens: DataFrame,
-    nq: NormQuery,
-    candidate_sids: DataFrame | None = None,
-    use_gsp: bool = True,
-) -> DataFrame:
-    """Distributed extract-clause evaluation: per-sentence evaluation via
-    ``applyInPandas`` over DPLI's candidate sentences (all sentences when
-    ``candidate_sids`` is None) — the unpruned reference the engine's
-    single per-document pass is checked against."""
-    if candidate_sids is not None:
-        tokens = tokens.join(
-            candidate_sids.withColumnRenamed("x", "sid"), "sid", "left_semi"
-        )
+def evaluate_corpus(tokens: DataFrame, nq: NormQuery) -> DataFrame:
+    """Distributed extract-clause evaluation of every sentence via
+    ``applyInPandas`` — the unpruned reference the engine's single
+    per-document pass is checked against."""
     fields = [
         T.StructField("doc_id", T.LongType()),
         T.StructField("sid", T.LongType()),
@@ -487,7 +477,7 @@ def evaluate_corpus(
     def eval_group(pdf: pd.DataFrame) -> pd.DataFrame:
         out: list[dict] = []
         for sent in sentences(pdf):
-            out.extend(eval_sentence(sent, nq, use_gsp=use_gsp))
+            out.extend(eval_sentence(sent, nq))
         return pd.DataFrame(out, columns=cols)
 
     # Group by doc (keeps sentences of a doc together; ``sentences`` cuts

@@ -43,9 +43,3 @@ def skip_list(sd: SpanDef, costs: dict[str, int], t: int) -> list[str]:
             skipped.add(v)
             out.append(v)
     return out
-
-
-def skip_lists(
-    span_defs: list[SpanDef], costs: dict[str, int], t: int
-) -> dict[str, list[str]]:
-    return {sd.name: skip_list(sd, costs, t) for sd in span_defs}

@@ -54,10 +54,6 @@ def _absolutize(defs: list[NodeDef]) -> tuple[dict[str, list[Step]], list[Constr
     return abs_paths, derived
 
 
-def _strip_conds(steps: list[Step]) -> list[tuple[str, str, str]]:
-    return [(s.axis, s.label, s.kind) for s in steps]
-
-
 def _dominates(p: list[Step], q: list[Step]) -> bool:
     """p is dominated by q: p (with conditions, modulo order) is a prefix
     of q (§4.2.1)."""

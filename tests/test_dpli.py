@@ -149,31 +149,22 @@ class TestRun:
     def test_example_21_candidates(self, paper):
         tokens, index = paper
         nq = normalize.normalize(queries.example_21())
-        res = dpli.run(index, nq)
-        sids = sorted(r.x for r in res.candidate_sids.distinct().collect())
+        cand = dpli.run(index, nq)
+        sids = sorted(r.x for r in cand.distinct().collect())
         assert sids == [0, 1]
-
-    def test_bindings_keyed_by_dominant(self, paper):
-        _, index = paper
-        nq = normalize.normalize(queries.example_21())
-        res = dpli.run(index, nq)
-        assert set(res.bindings) == {"a", "b", "c"}
-        # all three share c's (dominant) binding set
-        assert quints(res.bindings["a"]) == quints(res.bindings["c"])
 
     def test_no_extract_clause_all_sentences(self, paper):
         _, index = paper
         nq = normalize.normalize(queries.cafe(0.5))
-        res = dpli.run(index, nq)
+        cand = dpli.run(index, nq)
         # only entity requirement: both fixture sentences have entities
-        assert res.candidate_sids is not None
-        assert res.candidate_sids.count() == 2
+        assert cand is not None
+        assert cand.count() == 2
 
     def test_chocolate_on_wiki(self, wiki):
         tokens, index = wiki
         nq = normalize.normalize(queries.chocolate())
-        res = dpli.run(index, nq)
-        cand = {r.x for r in res.candidate_sids.collect()}
+        cand = {r.x for r in dpli.run(index, nq).collect()}
         # every sentence with a pobj "chocolate" under a verb is present
         true = {
             r.sid
@@ -225,7 +216,7 @@ def tree_sample(wiki):
     for name, q in qs:
         nq = normalize.normalize(q)
         old, n_sets = _nway_join(index, nq)
-        out.append((name, nq, _sids(dpli.run(index, nq).candidate_sids), _sids(old), n_sets))
+        out.append((name, nq, _sids(dpli.run(index, nq)), _sids(old), n_sets))
     return out
 
 

@@ -264,6 +264,15 @@ class TestDecoder:
         assert sents[0].entities == [(3, 5, "Entity", "chocolate ice cream")]
         assert all(type(v) is int for e in sents[1].entities for v in e[:2])
 
+    def test_decode_cols_suffice(self, doc):
+        """The engine ships only ``DECODE_COLS`` into its pass; dropping
+        the other token columns leaves the decoded sentences unchanged."""
+        dropped = set(doc.columns) - set(evaluate.DECODE_COLS)
+        assert {"pos", "depth", "pl_path", "pos_path"} <= dropped
+        sents = evaluate.sentences(doc)
+        assert len(sents) == 3 and all(s.entities for s in sents[:2])
+        assert evaluate.sentences(doc[evaluate.DECODE_COLS]) == sents
+
     def test_from_pandas_rejects_two_sentences(self, doc):
         with pytest.raises(ValueError):
             evaluate.Sentence.from_pandas(doc[doc.sid < 4002])
