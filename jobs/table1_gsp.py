@@ -1,4 +1,5 @@
 """Table 1 — KOKO&GSP vs KOKO&noGSP, ms/sentence, atoms ∈ {1,3,5}.
+Raises if the two modes return different rows on any timed pair.
 
 Usage: python jobs/table1_gsp.py [--pairs 24]
 """
@@ -54,12 +55,19 @@ def main() -> None:
                 raise RuntimeError(
                     f"{cname}, {n_atoms} atoms: no (query, sentence) pairs with bindings"
                 )
-            times = {}
+            times, rows = {}, {}
             for mode, use_gsp in (("gsp", True), ("nogsp", False)):
                 t0 = perf_counter()
-                for nq, s in pairs:
-                    evaluate.eval_sentence(s, nq, use_gsp=use_gsp)
+                rows[mode] = [
+                    evaluate.eval_sentence(s, nq, use_gsp=use_gsp) for nq, s in pairs
+                ]
                 times[mode] = (perf_counter() - t0) * 1000 / len(pairs)
+            for (nq, s), g, n in zip(pairs, rows["gsp"], rows["nogsp"]):
+                if sorted(map(str, g)) != sorted(map(str, n)):
+                    raise RuntimeError(
+                        f"{cname}, {n_atoms} atoms: GSP and noGSP rows differ "
+                        f"on sid {s.sid} for {nq.span_defs}"
+                    )
             print(
                 f"{cname:<10} {n_atoms:>5} {times['gsp']:>12.3f} {times['nogsp']:>14.3f}"
             )

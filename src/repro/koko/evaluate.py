@@ -6,7 +6,10 @@ Two modes reproduce Table 1:
 
 - ``use_gsp=True``: skipped variables are *derived* from the bindings of
   their neighbours (Example 4.7) — the assembly walks atoms left-to-right
-  and closes each skipped atom as the gap between its neighbours.
+  under one gap rule: a skipped atom binds exactly the span from the end
+  of its left neighbour to the start of its right one, either end free at
+  the span's edge; with no skipped atom between two concrete ones, that
+  gap must be empty (the atoms are adjacent).
 - ``use_gsp=False`` (KOKO&noGSP): the naive nested loop — full cartesian
   product over every variable's global binding set (an unconstrained
   elastic contributes all t(t+1)/2 spans), with adjacency checked last.
@@ -32,6 +35,7 @@ from pyspark.sql import types as T
 
 from ..indexing import pathmatch
 from . import gsp
+from .ast import var_atom
 from .dpli import entity_vars
 from .normalize import NormQuery
 
@@ -105,11 +109,12 @@ def sentences(pdf: pd.DataFrame) -> list[Sentence]:
     ]
 
 
-def _in_entity(sent: Sentence, tid: int, etype: str) -> bool:
-    return any(
-        lo <= tid <= hi and (etype == "Entity" or et == etype)
+def _entity_spans(sent: Sentence, etype: str) -> list[Span]:
+    return [
+        (lo, hi)
         for lo, hi, et, _ in sent.entities
-    )
+        if etype == "Entity" or et == etype
+    ]
 
 
 def node_bindings(sent: Sentence, nq: NormQuery) -> dict[str, list[int]]:
@@ -121,17 +126,10 @@ def node_bindings(sent: Sentence, nq: NormQuery) -> dict[str, list[int]]:
         tids = [i for i, tp in enumerate(sent.triple) if rx.match(tp)]
         etype = steps[-1].cond("etype") if steps else None
         if etype:
-            tids = [i for i in tids if _in_entity(sent, i, etype)]
+            spans = _entity_spans(sent, etype)
+            tids = [i for i in tids if any(lo <= i <= hi for lo, hi in spans)]
         out[var] = tids
     return out
-
-
-def _entity_spans(sent: Sentence, etype: str) -> list[Span]:
-    return [
-        (lo, hi)
-        for lo, hi, et, _ in sent.entities
-        if etype == "Entity" or et == etype
-    ]
 
 
 def _token_occurrences(sent: Sentence, words: tuple[str, ...]) -> list[Span]:
@@ -144,6 +142,10 @@ def _token_occurrences(sent: Sentence, words: tuple[str, ...]) -> list[Span]:
 
 
 def _merge(env: Env, extra: Env) -> Env | None:
+    """``env`` plus ``extra``, or None where they bind a variable apart.
+    Envs are never mutated, so an empty ``extra`` returns ``env`` itself."""
+    if not extra:
+        return env
     out = dict(env)
     for k, v in extra.items():
         if k in out and out[k] != v:
@@ -209,12 +211,14 @@ class SentenceEvaluator:
 
     # -- span assembly ---------------------------------------------------
     def _assemble_gsp(self, sd, skipped: set[str]) -> list[tuple[Span, Env]]:
-        """Left-to-right assembly; skipped atoms become gaps closed by the
-        next concrete atom (Example 4.7)."""
+        """Left-to-right assembly; each skipped atom is closed as the gap
+        its concrete neighbours leave (Example 4.7)."""
+        # (start, end, env) of each partial span; end is None before the
+        # first concrete atom, so a leading gap has a free start.
         partials: list[tuple[int | None, int | None, Env]] = [(None, None, {})]
-        pending = None  # at most one skipped atom between concrete atoms
+        pending = None  # the skipped atom since the last concrete one
         for atom in sd.atoms:
-            if atom.var is not None and atom.var in skipped:
+            if atom.var in skipped:
                 if pending is not None:
                     raise ValueError("two adjacent skipped atoms")
                 pending = atom
@@ -222,83 +226,49 @@ class SentenceEvaluator:
             cands = self.atom_candidates(atom)
             nxt: list[tuple[int | None, int | None, Env]] = []
             for start, end, env in partials:
+                lo = None if end is None else end + 1
                 for (cs, ce), aenv in cands:
-                    if end is None:  # first concrete atom
-                        if pending is not None:
-                            # leading skipped atom: derive with end == cs-1
-                            for genv, gs in self._close_leading(pending, cs):
-                                m = _merge(env, aenv)
-                                m = m and _merge(m, genv)
-                                if m is not None:
-                                    nxt.append((gs, ce, m))
-                        else:
-                            m = _merge(env, aenv)
-                            if m is not None:
-                                nxt.append((cs, ce, m))
-                        continue
-                    if pending is not None:
-                        gap_span = (end + 1, cs - 1)
-                        genv = self._close_gap(pending, gap_span)
-                        if genv is None:
-                            continue
+                    for (gs, _), genv in self._close(pending, lo, cs - 1):
                         m = _merge(env, genv)
-                    else:
-                        if cs != end + 1:
-                            continue
-                        m = env
-                    m = m and _merge(m, aenv)
-                    if m is not None:
-                        nxt.append((start, ce, m))
-            partials = nxt
-            pending = None
+                        m = None if m is None else _merge(m, aenv)
+                        if m is not None:
+                            nxt.append((gs if start is None else start, ce, m))
+            partials, pending = nxt, None
             if not partials:
                 return []
         out: list[tuple[Span, Env]] = []
         for start, end, env in partials:
-            if end is None:
-                continue  # no concrete atom ever bound — nothing derivable
-            if pending is not None:  # trailing skipped atom
-                for genv, ge in self._close_trailing(pending, end + 1):
-                    m = _merge(env, genv)
-                    if m is not None:
-                        out.append(((start, ge), m))
-            else:
-                out.append(((start, end), env))
+            for (_, ge), genv in self._close(pending, end + 1, None):
+                m = _merge(env, genv)
+                if m is not None:
+                    out.append(((start, ge), m))
         return out
 
-    def _close_gap(self, atom, span: Span):
-        """Bind a skipped atom to an exact gap span, or None."""
-        s, e = span
-        if e < s - 1:
-            return None
+    def _close(self, atom, lo: int | None, hi: int | None) -> list[tuple[Span, Env]]:
+        """The one gap rule: bindings of the skipped ``atom`` that start at
+        ``lo`` (fixed by its left neighbour) and end at ``hi`` (fixed by its
+        right neighbour); ``None`` leaves that end free. With no atom
+        pending the gap is empty, which holds only between adjacent atoms."""
+        if lo is not None and hi is not None and hi < lo - 1:
+            return []  # the neighbours overlap
+        if atom is None:
+            s = hi + 1 if lo is None else lo
+            e = lo - 1 if hi is None else hi
+            return [((s, e), {})] if e == s - 1 else []
         if atom.kind == "elastic" and atom.etype is None:
-            return {atom.var: span} if _elastic_ok(self.sent, atom, span) else None
-        for (cs, ce), aenv in self.atom_candidates(atom):
-            if (cs, ce) == span:
-                return aenv
-        return None
-
-    def _close_leading(self, atom, next_start: int):
-        if atom.kind == "elastic" and atom.etype is None:
-            for cs in range(next_start + 1):
-                sp = (cs, next_start - 1)
-                if _elastic_ok(self.sent, atom, sp):
-                    yield {atom.var: sp}, cs
-        else:
-            for (cs, ce), aenv in self.atom_candidates(atom):
-                if ce == next_start - 1:
-                    yield aenv, cs
-
-    def _close_trailing(self, atom, start: int):
-        if atom.kind == "elastic" and atom.etype is None:
-            for ce in range(start - 1, self.sent.t):
-                sp = (start, ce)
-                if _elastic_ok(self.sent, atom, sp):
-                    yield {atom.var: sp}, ce
-        else:
-            for (cs, ce), aenv in self.atom_candidates(atom):
-                if cs == start:
-                    yield aenv, ce
+            starts = range(hi + 2) if lo is None else (lo,)
+            ends = range(lo - 1, self.sent.t) if hi is None else (hi,)
+            return [
+                ((s, e), {atom.var: (s, e)})
+                for s in starts
+                for e in ends
+                if _elastic_ok(self.sent, atom, (s, e))
+            ]
+        return [
+            ((cs, ce), aenv)
+            for (cs, ce), aenv in self.atom_candidates(atom)
+            if (lo is None or cs == lo) and (hi is None or ce == hi)
+        ]
 
     def _assemble_naive(self, sd) -> list[tuple[Span, Env]]:
         """noGSP: full cartesian product, adjacency checked afterwards."""
@@ -327,10 +297,6 @@ class SentenceEvaluator:
         costs = {v: len(b) for v, b in self.nb.items()}
         for v, et in self.evars.items():
             costs[v] = len(_entity_spans(self.sent, et))
-        for sd in self.nq.span_defs:
-            for a in sd.atoms:  # subtree/earlier-span atoms share var costs
-                if a.kind == "var" and a.var in self.span_results:
-                    costs[a.var] = len(self.span_results[a.var])
         for sd in self.nq.span_defs:
             if self.use_gsp:
                 t0 = perf_counter()
@@ -389,15 +355,9 @@ class SentenceEvaluator:
         for v in needed:
             if v in covered:
                 continue
-            if v in self.nb:
-                pools.append([((i, i), {v: (i, i)}) for i in self.nb[v]])
-            elif v in self.evars:
-                pools.append(
-                    [(sp, {v: sp}) for sp in _entity_spans(self.sent, self.evars[v])]
-                )
-            elif v in self.span_results:
-                pools.append(self.span_results[v])
-            else:
+            try:
+                pools.append(self.atom_candidates(var_atom(v)))
+            except KeyError:
                 continue  # e.g. elastic var never materialized
             covered.add(v)
 

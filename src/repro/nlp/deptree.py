@@ -77,7 +77,12 @@ def triple_paths(
     regex test against this string. Used by the full-scan reference
     matcher and the per-sentence validation step — *not* by DPLI, which
     sees only the decomposed per-attribute indices, as in the paper.
+    ``/`` and ``|`` separate steps and fields, so a label, POS tag or token
+    containing either raises ``ValueError`` instead of never matching.
     """
+    for value in (*labels, *pos, *tokens):
+        if "/" in value or "|" in value:
+            raise ValueError(f"path separator '/' or '|' in {value!r}")
     out = []
     for i in range(len(heads)):
         parts = [f"{labels[j]}|{pos[j]}|{tokens[j]}" for j in _root_path(i, heads)]

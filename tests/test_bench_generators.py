@@ -6,6 +6,7 @@ import pytest
 from repro.bench import lookup, synthetic_span, synthetic_tree
 from repro.corpus import generator
 from repro.indexing import advinverted, inverted, koko_index, subtree
+from repro.koko import evaluate, normalize
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +74,23 @@ class TestSpanBenchmark:
         a = synthetic_span.benchmark(wiki, per_setting=5, seed=0)
         b = synthetic_span.benchmark(wiki, per_setting=5, seed=0)
         assert [q.span for q in a] == [q.span for q in b]
+
+    def test_gsp_matches_nogsp_on_all_queries(self, wiki):
+        """GSP and noGSP return the same rows for all 300 queries on every
+        sentence; short sentences keep noGSP's cartesian product bounded."""
+        sents = [s for s in evaluate.sentences(wiki.toPandas()) if s.t <= 12]
+        assert len(sents) >= 300
+        with_rows = 0
+        for q in synthetic_span.benchmark(wiki, per_setting=100, seed=0):
+            nq = normalize.normalize(q.query())
+            found = False
+            for s in sents:
+                gsp = sorted(map(str, evaluate.eval_sentence(s, nq, use_gsp=True)))
+                naive = sorted(map(str, evaluate.eval_sentence(s, nq, use_gsp=False)))
+                assert gsp == naive, (q.name, s.sid)
+                found = found or bool(gsp)
+            with_rows += found
+        assert with_rows >= 100  # not vacuous
 
 
 @pytest.fixture(scope="module")

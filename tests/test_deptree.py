@@ -1,4 +1,6 @@
 """Unit tests for dependency-tree metadata derivation."""
+import re
+
 import pytest
 
 from repro.nlp import deptree
@@ -63,6 +65,13 @@ class TestPaths:
         tp = deptree.triple_paths(HEADS, LABELS, POS, TOKS)
         assert tp[2] == "/root|VERB|sat"
         assert tp[0] == "/root|VERB|sat/nsubj|NOUN|cat/det|DET|The"
+
+    def test_triple_paths_rejects_separators(self):
+        toks = ["The", "cat", "and/or", "."]
+        with pytest.raises(ValueError, match=re.escape("'and/or'")):
+            deptree.triple_paths(HEADS, LABELS, POS, toks)
+        with pytest.raises(ValueError, match=re.escape("'a|b'")):
+            deptree.triple_paths(HEADS, ["det", "nsubj", "a|b", "punct"], POS, TOKS)
 
     def test_parents_validates_root(self):
         with pytest.raises(ValueError, match="root"):

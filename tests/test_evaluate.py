@@ -157,19 +157,29 @@ class TestSpanAssembly:
         rows = evaluate.eval_sentence(fig1, normalize.normalize(q))
         assert {r["x"] for r in rows} == {"ate a pie"}
 
-    def test_gsp_naive_equivalence_on_elastic(self, fig1):
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            [var_atom("v"), elastic(), var_atom("n")],
+            [tokens_atom("a"), var_atom("x"), elastic(max_len=1)],
+            [var_atom("n"), tokens_atom(".")],
+            [elastic(max_len=2), var_atom("n")],
+            [var_atom("v"), elastic(max_len=2)],
+        ],
+        ids=["middle", "token-var-trailing", "var-token", "leading", "trailing"],
+    )
+    def test_gsp_naive_equivalence_on_elastic(self, fig1, atoms):
+        paths = {"v": "//verb", "n": "//dobj", "x": "//*"}
+        vs = [a.var for a in atoms if a.kind == "var"]
         q = Query(
-            outputs=[("x", "Str")],
-            node_defs=[
-                NodeDef("v", None, parse_path("//verb")),
-                NodeDef("n", None, parse_path("//dobj")),
-            ],
-            span_defs=[SpanDef("x", [var_atom("v"), elastic(), var_atom("n")])],
+            outputs=[("s", "Str")] + [(v, "Str") for v in vs],
+            node_defs=[NodeDef(v, None, parse_path(paths[v])) for v in vs],
+            span_defs=[SpanDef("s", atoms)],
         )
         nq = normalize.normalize(q)
         a = sorted(str(r) for r in evaluate.eval_sentence(fig1, nq, use_gsp=True))
         b = sorted(str(r) for r in evaluate.eval_sentence(fig1, nq, use_gsp=False))
-        assert a == b
+        assert a and a == b
 
 
 class TestConstraints:
