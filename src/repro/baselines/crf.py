@@ -16,7 +16,10 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
 import pandas as pd
+
+from ..koko.evaluate import Sentence, sentences
 
 TAGS = ("O", "B", "I")
 _T2I = {t: i for i, t in enumerate(TAGS)}
@@ -95,7 +98,6 @@ class PerceptronCRF:
 
     def train(self, sents: list[tuple[list[list[str]], list[str]]], epochs: int = 5,
               seed: int = 0) -> None:
-        import numpy as np
         rng = np.random.default_rng(seed)
         order = list(range(len(sents)))
         for _ in range(epochs):
@@ -128,13 +130,20 @@ class PerceptronCRF:
             self.trans[k] -= self._acc_t[k] / self._steps
 
 
-def _bio_of(sent: pd.DataFrame, gold_names: set[str]) -> list[str]:
-    tags = ["O"] * len(sent)
-    rows = sent.reset_index(drop=True)
-    for i, r in rows.iterrows():
-        if pd.notna(r.etype) and r.ent_text in gold_names:
-            tags[i] = "B" if r.tid == r.ent_lo else "I"
+def _bio_of(sent: Sentence, gold_names: set[str]) -> list[str]:
+    tags = ["O"] * sent.t
+    for lo, hi, _etype, text in sent.entities:
+        if text in gold_names:
+            tags[lo : hi + 1] = ["B"] + ["I"] * (hi - lo)
     return tags
+
+
+def held_out_docs(doc_ids, train_frac: float, seed: int) -> set:
+    """The docs ``train_and_predict`` does not train on: a seeded shuffle
+    of the sorted ids, minus its first ``train_frac``."""
+    order = sorted(doc_ids)
+    np.random.default_rng(seed).shuffle(order)
+    return set(order[int(len(order) * train_frac) :])
 
 
 def train_and_predict(
@@ -147,29 +156,21 @@ def train_and_predict(
     """Split docs, train on ``train_frac``, predict on the rest.
 
     Returns (doc_id, entity) predictions **on the held-out docs only**
-    (evaluate against gold restricted to the same docs).
+    (evaluate against gold restricted to ``held_out_docs``).
     """
-    import numpy as np
-    doc_ids = sorted(tokens_pdf.doc_id.unique())
-    rng = np.random.default_rng(seed)
-    rng.shuffle(doc_ids)
-    n_train = int(len(doc_ids) * train_frac)
-    train_docs = set(doc_ids[:n_train])
+    test_docs = held_out_docs(tokens_pdf.doc_id.unique(), train_frac, seed)
     gold_by_doc: dict[int, set[str]] = defaultdict(set)
     for _, r in gold.iterrows():
         gold_by_doc[int(r.doc_id)].add(r.entity)
 
     train_sents = []
     test_sents = []
-    for (doc_id, _sid), sent in tokens_pdf.groupby(["doc_id", "sid"]):
-        sent = sent.sort_values("tid")
-        toks = list(sent["token"])
-        feats = [features(toks, i) for i in range(len(toks))]
-        if doc_id in train_docs:
-            tags = _bio_of(sent, gold_by_doc.get(int(doc_id), set()))
-            train_sents.append((feats, tags))
+    for sent in sentences(tokens_pdf):
+        feats = [features(sent.tokens, i) for i in range(sent.t)]
+        if sent.doc_id in test_docs:
+            test_sents.append((sent.doc_id, sent.tokens, feats))
         else:
-            test_sents.append((int(doc_id), toks, feats))
+            train_sents.append((feats, _bio_of(sent, gold_by_doc[sent.doc_id])))
 
     model = PerceptronCRF()
     model.train(train_sents, epochs=epochs, seed=seed)

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import types as T
 
+from ..koko.aggregate import _occurs
+from ..koko.evaluate import sentences
 from ..nlp import embeddings
 
 # (side, phrase): side 'left' = pattern precedes the NP, 'right' = follows.
@@ -52,46 +53,24 @@ def _expansions(phrase: str, k: int) -> list[tuple[str, ...]]:
     return [tuple(p.split()) for p, _ in embeddings.expand(phrase, k=k)]
 
 
-def _occurs_in(seq: tuple[str, ...], window: list[str]) -> bool:
-    it = iter(w.lower() for w in window)
-    return all(any(w == x for x in it) for w in (s.lower() for s in seq))
-
-
 def extract(
     tokens: DataFrame, patterns: list[tuple[str, str, int]]
 ) -> pd.DataFrame:
     """Run all patterns; return distinct (doc_id, entity) predictions."""
     expanded = [(side, _expansions(p, k)) for side, p, k in patterns]
-    schema = T.StructType(
-        [
-            T.StructField("doc_id", T.LongType()),
-            T.StructField("entity", T.StringType()),
-        ]
-    )
-
-    def run_doc(pdf: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for _, sent in pdf.groupby("sid"):
-            sent = sent.sort_values("tid")
-            toks = list(sent["token"])
-            ents = sent[sent.etype.notna() & (sent.tid == sent.ent_lo)]
-            for _, e in ents.iterrows():
-                lo, hi = int(e.ent_lo), int(e.ent_hi)
-                for side, exps in expanded:
-                    # IKE patterns are (near-)adjacent sequence slots: look
-                    # at a short window next to the NP, not the whole
-                    # sentence.
-                    window = (
-                        toks[max(0, lo - 7) : lo]
-                        if side == "left"
-                        else toks[hi + 1 : hi + 8]
-                    )
-                    if any(_occurs_in(x, window) for x in exps):
-                        rows.append(
-                            {"doc_id": int(e.doc_id), "entity": e.ent_text}
-                        )
-                        break
-        return pd.DataFrame(rows, columns=["doc_id", "entity"])
-
-    out = tokens.groupBy("doc_id").applyInPandas(run_doc, schema=schema).toPandas()
+    rows = []
+    for sent in sentences(tokens.toPandas()):
+        for lo, hi, _etype, text in sent.entities:
+            for side, exps in expanded:
+                # IKE patterns are (near-)adjacent sequence slots: look at a
+                # short window next to the NP, not the whole sentence.
+                window = (
+                    sent.tokens[max(0, lo - 7) : lo]
+                    if side == "left"
+                    else sent.tokens[hi + 1 : hi + 8]
+                )
+                if any(_occurs(x, window) for x in exps):
+                    rows.append((sent.doc_id, text))
+                    break
+    out = pd.DataFrame(rows, columns=["doc_id", "entity"])
     return out.drop_duplicates().reset_index(drop=True)

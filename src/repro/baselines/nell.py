@@ -15,24 +15,21 @@ from collections import defaultdict
 
 import pandas as pd
 
+from ..koko.evaluate import sentences
+
 
 def _mention_contexts(tokens_pdf: pd.DataFrame) -> pd.DataFrame:
     """One row per entity mention with its (prev, next) token context."""
-    rows = []
-    for _sid, sent in tokens_pdf.groupby("sid"):
-        sent = sent.sort_values("tid")
-        toks = list(sent["token"])
-        ents = sent[sent.etype.notna() & (sent.tid == sent.ent_lo)]
-        for _, e in ents.iterrows():
-            lo, hi = int(e.ent_lo), int(e.ent_hi)
-            rows.append(
-                {
-                    "doc_id": int(e.doc_id),
-                    "entity": e.ent_text,
-                    "prev": toks[lo - 1] if lo > 0 else "<s>",
-                    "next": toks[hi + 1] if hi + 1 < len(toks) else "</s>",
-                }
-            )
+    rows = [
+        (
+            sent.doc_id,
+            text,
+            sent.tokens[lo - 1] if lo > 0 else "<s>",
+            sent.tokens[hi + 1] if hi + 1 < sent.t else "</s>",
+        )
+        for sent in sentences(tokens_pdf)
+        for lo, hi, _etype, text in sent.entities
+    ]
     return pd.DataFrame(rows, columns=["doc_id", "entity", "prev", "next"])
 
 

@@ -69,16 +69,8 @@ def run_ike(qc: QualityCorpus, *, target: str = "cafe") -> PRF:
 def run_crf(qc: QualityCorpus, *, train_frac: float = 0.5, seed: int = 0) -> PRF:
     pdf = qc.tokens.toPandas()
     pred = crf.train_and_predict(pdf, qc.truth, train_frac=train_frac, seed=seed)
-    held_docs = set(pdf.doc_id.unique()) - set(
-        pred.doc_id.unique()
-    )  # pred covers held-out docs only; recompute the true held-out set:
-    import numpy as np
-    doc_ids = sorted(pdf.doc_id.unique())
-    rng = np.random.default_rng(seed)
-    rng.shuffle(doc_ids)
-    test_docs = set(doc_ids[int(len(doc_ids) * train_frac):])
-    gold = qc.truth[qc.truth.doc_id.isin(test_docs)]
-    return prf(pred, gold)
+    test_docs = crf.held_out_docs(pdf.doc_id.unique(), train_frac, seed)
+    return prf(pred, qc.truth[qc.truth.doc_id.isin(test_docs)])
 
 
 def run_nell(qc: QualityCorpus, *, n_seeds: int = 17, seed: int = 0) -> PRF:

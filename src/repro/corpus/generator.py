@@ -158,7 +158,8 @@ def happy_corpus(spark: SparkSession, n_docs: int, *, seed: int = 17) -> DataFra
 
 
 def entities_of(tokens: DataFrame) -> DataFrame:
-    """Entity table (one row per entity mention) from the token table."""
+    """Entity table (one row per entity mention) from the token table: the
+    one Spark reader of entity starts (KOKO's entity index renames it)."""
     return (
         tokens.where(F.col("etype").isNotNull() & (F.col("tid") == F.col("ent_lo")))
         .select(

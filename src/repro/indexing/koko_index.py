@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
+from ..corpus.generator import entities_of
+
 
 @dataclass
 class KokoIndex:
@@ -98,15 +100,9 @@ def build(tokens: DataFrame) -> KokoIndex:
             "pos_id",
         )
     )
-    entity = (
-        tokens.where(F.col("etype").isNotNull() & (F.col("tid") == F.col("ent_lo")))
-        .select(
-            F.col("ent_text").alias("entity"),
-            F.col("sid").alias("x"),
-            F.col("ent_lo").alias("u"),
-            F.col("ent_hi").alias("v"),
-            "etype",
-        )
+    entity = entities_of(tokens).select(
+        "entity", F.col("sid").alias("x"), F.col("lo").alias("u"),
+        F.col("hi").alias("v"), "etype",
     )
     return KokoIndex(word=word, entity=entity, pl_nodes=pl_nodes, pos_nodes=pos_nodes)
 

@@ -126,9 +126,3 @@ class Query:
     constraints: list[Constraint] = field(default_factory=list)
     satisfying: list[Satisfying] = field(default_factory=list)
     excluding: Excluding | None = None
-
-    def output_type(self, var: str) -> str | None:
-        for v, t in self.outputs:
-            if v == var:
-                return t
-        return None

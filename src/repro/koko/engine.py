@@ -152,6 +152,12 @@ def run(tokens: DataFrame, index: KokoIndex, query: Query) -> RunResult:
         .collect()
     )
     timings["extract_wall"] = perf_counter() - t0
+    n_cand = sum(d.n_cand for d in docs)
+    if cand is not None and n_cand != len(cand):
+        raise ValueError(
+            f"{len(cand) - n_cand} of {len(cand)} candidate sentences are not in "
+            f"document sid // SENTS_PER_DOC: sids must be doc_id * {SENTS_PER_DOC} + i"
+        )
     for key, col in _TIMERS.items():
         timings[key] = float(sum(d[col] for d in docs))
 
@@ -163,7 +169,7 @@ def run(tokens: DataFrame, index: KokoIndex, query: Query) -> RunResult:
     return RunResult(
         results=results.drop_duplicates().reset_index(drop=True),
         timings=timings,
-        n_candidate_sentences=sum(d.n_cand for d in docs),
+        n_candidate_sentences=n_cand,
         n_extraction_rows=sum(d.n_rows for d in docs),
         n_extracted_sentences=sum(d.n_sents for d in docs),
     )

@@ -18,8 +18,8 @@ Sentence-level evaluation is pure Python (sentences are tiny and already
 pruned by DPLI); the engine's per-document pass and the corpus-level
 reference ``evaluate_corpus`` both run it inside ``applyInPandas`` grouped
 by document. ``sentences`` is the one decoder from token rows to the
-in-memory ``Sentence``: it serves them and the satisfying-clause scan in
-``aggregate`` alike. A span ``(s, e)`` is inclusive; empty spans
+in-memory ``Sentence``: it serves them, the satisfying-clause scan in
+``aggregate`` and the driver-side IKE, NELL and CRF baselines alike. A span ``(s, e)`` is inclusive; empty spans
 are ``(s, s-1)``.
 """
 from __future__ import annotations
@@ -83,8 +83,9 @@ DECODE_COLS = [
 
 
 def sentences(pdf: pd.DataFrame) -> list[Sentence]:
-    """Decode token rows (one document's, in the UDFs), in any order, into
-    their sentences in sid order: one sort by ``(sid, tid)``, one list per
+    """Decode the token rows of any set of documents (one document's in the
+    UDFs, a whole corpus in the baselines), in any order, into their
+    sentences in sid order: one sort by ``(sid, tid)``, one list per
     column, cut at sid boundaries. Entities are the rows where an entity
     starts; the null test accepts both ``None`` and Arrow's ``NaN``."""
     pdf = pdf.sort_values(["sid", "tid"])

@@ -1,4 +1,7 @@
 """Baseline extractors: IKE, CRF perceptron, NELL-sim, Odin-sim."""
+import json
+from pathlib import Path
+
 import pandas as pd
 import pytest
 
@@ -12,6 +15,41 @@ def cafe_qc(spark):
     qc = cafes.cafe_corpus(spark, 120, style="barista", seed=3)
     qc.tokens.cache().count()
     return qc
+
+
+PINNED_PREDICTIONS = Path(__file__).parent / "data" / "baseline_predictions.json"
+
+
+def baseline_predictions(qc):
+    """IKE with ``CAFE_PATTERNS``, CRF with ``train_frac=0.5, epochs=4`` and
+    NELL seeded with the first third of the sorted gold names, on ``qc``:
+    predictions as sorted ``[doc_id, entity]`` rows, NELL's promoted
+    patterns as ``[prev, next]`` and its mention contexts as sorted
+    ``[doc_id, entity, prev, next]`` rows."""
+    def rows(pred):
+        return sorted([int(d), e] for d, e in zip(pred.doc_id, pred.entity))
+
+    pdf = qc.tokens.toPandas()
+    names = sorted(qc.truth.entity.unique())
+    nell_pred, patterns = nell.extract(pdf, names[: len(names) // 3])
+    return {
+        "ike": rows(ike.extract(qc.tokens, ike.CAFE_PATTERNS)),
+        "crf": rows(crf.train_and_predict(pdf, qc.truth, train_frac=0.5, epochs=4)),
+        "nell": rows(nell_pred),
+        "nell_patterns": [list(p) for p in patterns],
+        "nell_contexts": sorted(
+            [int(r.doc_id), r.entity, r.prev, r.next]
+            for r in nell._mention_contexts(pdf).itertuples()
+        ),
+    }
+
+
+class TestPinnedPredictions:
+    def test_baselines_unchanged(self, cafe_qc):
+        """The three driver-side baselines' output on ``cafe_qc`` equals the
+        recorded ``tests/data/baseline_predictions.json``."""
+        expected = json.loads(PINNED_PREDICTIONS.read_text())
+        assert baseline_predictions(cafe_qc) == expected
 
 
 class TestIKE:

@@ -1,12 +1,14 @@
 """End-to-end engine tests: the three §6.3 queries on a wiki-lite corpus,
 stage timings and counts, index-pruning consistency (pruned evaluation must
 equal full-scan evaluation for every query of ``koko.queries``), execution
-invariance across shuffle partition counts, the Spark jobs one query
-launches, and a zero-candidate query."""
+invariance across shuffle partition counts, Spark against driver-side
+evaluation, the Spark jobs one query launches, a zero-candidate query, an
+empty corpus and a token table that breaks the sid numbering."""
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.corpus import cafes, generator
+from repro.corpus import cafes, fixtures, generator
 from repro.indexing import koko_index
 from repro.koko import aggregate, engine, evaluate, normalize, queries
 from repro.koko.ast import NodeDef, Query, SpanDef, parse_path, tokens_atom
@@ -81,9 +83,6 @@ class TestDateOfBirth:
         """Sentences with Person+Date but no born-like verb must not emit."""
         tokens, index = wiki
         res = engine.run(tokens, index, queries.date_of_birth())
-        out_sids = set()
-        nq = normalize.normalize(queries.date_of_birth())
-        ext = evaluate.evaluate_corpus(tokens, nq).toPandas()
         born_docs = {
             r.doc_id
             for r in tokens.where(F.col("token") == "born").select("doc_id").distinct().collect()
@@ -175,6 +174,39 @@ class TestPruningInvariance:
         assert _key(engine.run(tokens, index, qf()).results) == _key(full)
 
 
+class TestSparkVsLocal:
+    """``engine.run`` equals the same query evaluated on the driver: all
+    documents decoded by one ``evaluate.sentences`` call, ``eval_sentence``
+    on every sentence, then ``aggregate.apply_doc`` per document."""
+
+    @staticmethod
+    def _local(tokens, q):
+        nq = normalize.normalize(q)
+        out_vars = [v for v, _ in q.outputs]
+        by_doc = {}
+        for sent in evaluate.sentences(tokens.toPandas()):
+            by_doc.setdefault(sent.doc_id, []).append(sent)
+        rows = [
+            (doc_id, *(r[v] for v in out_vars))
+            for doc_id, sents in by_doc.items()
+            for r in aggregate.apply_doc(
+                sents, [t for s in sents for t in evaluate.eval_sentence(s, nq)], nq
+            )
+        ]
+        return pd.DataFrame(rows, columns=["doc_id", *out_vars]).drop_duplicates()
+
+    @pytest.mark.parametrize(
+        "corpus,qf",
+        [(c, qf) for c, _, qf in TestPruningInvariance.CASES],
+        ids=[f"{q}-{c}" for c, q, _ in TestPruningInvariance.CASES],
+    )
+    def test_matches_driver_evaluation(self, corpora, corpus, qf):
+        tokens, index = corpora(corpus)
+        local = self._local(tokens, qf())
+        assert len(local) > 0
+        assert _key(engine.run(tokens, index, qf()).results) == _key(local)
+
+
 class TestExecutionInvariance:
     @pytest.mark.parametrize(
         "corpus,qf",
@@ -249,3 +281,33 @@ class TestNoIndexedVariable:
         assert res.n_candidate_sentences == tokens.select("sid").distinct().count()
         assert len(res.results) > 0
         assert _key(res.results) == _key(_unpruned(tokens, q))
+
+
+class TestEmptyCorpus:
+    @pytest.mark.parametrize(
+        "q",
+        [
+            queries.example_21(),
+            Query(outputs=[("x", "Str")], span_defs=[SpanDef("x", [tokens_atom("born")])]),
+        ],
+        ids=["indexed", "unindexed"],
+    )
+    def test_no_rows(self, spark, q):
+        """With or without variables for DPLI to look up, an empty token
+        table gives no rows and the output columns."""
+        tokens = spark.createDataFrame([], schema=generator.TOKEN_SCHEMA)
+        res = engine.run(tokens, koko_index.build(tokens), q)
+        assert res.results.empty
+        assert list(res.results.columns) == ["doc_id", *(v for v, _ in q.outputs)]
+        assert res.n_candidate_sentences == 0
+
+
+class TestSidNumbering:
+    def test_sid_outside_its_document_raises(self, spark):
+        """The pass finds a candidate's document as ``sid // SENTS_PER_DOC``;
+        a token table numbered otherwise must fail, not lose candidates."""
+        pdf = fixtures.paper_rows()
+        pdf.loc[pdf.sid == 1, "sid"] = 1001
+        tokens = spark.createDataFrame(pdf, schema=generator.TOKEN_SCHEMA)
+        with pytest.raises(ValueError, match="SENTS_PER_DOC"):
+            engine.run(tokens, koko_index.build(tokens), queries.example_21())

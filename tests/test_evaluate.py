@@ -286,3 +286,19 @@ class TestDecoder:
     def test_from_pandas_rejects_two_sentences(self, doc):
         with pytest.raises(ValueError):
             evaluate.Sentence.from_pandas(doc[doc.sid < 4002])
+
+    def test_empty_frame(self):
+        assert evaluate.sentences(pd.DataFrame(columns=evaluate.DECODE_COLS)) == []
+
+    def test_entityless_rows_from_arrow(self, spark):
+        """A sentence without entities, through Spark's Arrow ``toPandas``:
+        every entity column is null and ``ent_lo`` comes back as float NaN."""
+        pdf = pd.DataFrame(
+            generator.resolve_template(self.TEMPLATES[2], np.random.default_rng(0), 4, 0)
+        )
+        pdf = spark.createDataFrame(pdf, schema=generator.TOKEN_SCHEMA).toPandas()
+        assert pdf.ent_lo.dtype.kind == "f" and pdf.ent_lo.isna().all()
+        assert pdf.etype.isna().all()
+        (sent,) = evaluate.sentences(pdf)
+        assert sent.entities == []
+        assert sent.tokens == [t.word for t in self.TEMPLATES[2].tokens]
