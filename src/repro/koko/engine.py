@@ -3,14 +3,18 @@
 Pipeline (Figure 2): Normalize → DPLI (index lookups, candidate
 sentences) → one pass over the candidate articles. DPLI's candidate sids
 are collected to the driver and grouped into a ``(doc_id, cand_sids)``
-frame. The pass is a single ``groupBy("doc_id").applyInPandas`` over the
-tokens of every document holding a candidate sentence, each row flagged
-``is_cand``. Per document it decodes the article once (LoadArticle),
-evaluates the extract clause on its candidate sentences with GSP skip
-plans (GSP + extract), scores the satisfying values against the same
-sentences and applies thresholds and ``excluding`` (satisfying). It
-returns one row per document: the surviving output tuples plus that
-document's timers and counts. The driver makes one collect and drops
+frame. The pass is one ``mapInPandas`` over the tokens of every document
+holding a candidate sentence, each row flagged ``is_cand``, hash-
+partitioned by ``doc_id`` into ``defaultParallelism`` partitions and
+sorted by ``(doc_id, sid, tid)`` within each. Per Arrow batch it decodes
+the rows once with ``evaluate.sentences`` (LoadArticle) and splits the
+sentences by document; per document it evaluates the extract clause on
+the candidate sentences with GSP skip plans (GSP + extract), scores the
+satisfying values against the same sentences and applies thresholds and
+``excluding`` (satisfying). Each batch yields one frame with one row per
+document: the surviving output tuples plus that document's timers and
+counts. A batch boundary may cut a document, so the last document of each
+batch is carried into the next. The driver makes one collect and drops
 duplicate tuples.
 
 Broadcasts: the session's automatic broadcast threshold is off, so every
@@ -18,24 +22,26 @@ broadcast is an explicit ``F.broadcast`` on a side that is small by
 construction. ``koko_index.build`` broadcasts the PL/POS node tables (one
 row per distinct path, >99.7% of tree nodes merged away); DPLI broadcasts
 the posting lists of the query's literal words; here the
-``(doc_id, cand_sids)`` frame (one row per candidate document, already on
-the driver) is broadcast into the token scan, so only candidate
-articles reach the pass's shuffle.
+``(doc_id, cand_sids)`` frame (one row per candidate document, built on
+the driver from pandas, so it plans as a local relation) is broadcast
+into the token scan, so only candidate articles reach the pass's shuffle.
 
 Timings use the paper's column names. ``Normalize`` and ``DPLI`` are
 driver wall times (DPLI is planning the lookups plus the one collect of
-the candidate sids); ``LoadArticle`` (decode), ``GSP`` (skip-plan
-generation), ``extract`` (the evaluator loop without plan generation) and
+the candidate sids); ``LoadArticle`` (the wait for each Arrow batch, its
+conversion to pandas and its decode), ``GSP`` (skip-plan generation),
+``extract`` (the evaluator loop without plan generation) and
 ``satisfying`` (scoring, thresholds, excluding) are in-UDF times summed
-over documents; ``extract_wall`` is the wall time of the whole pass,
+over partitions; ``extract_wall`` is the wall time of the whole pass,
 Spark jobs included.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Iterator
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -77,41 +83,79 @@ def _pass_schema(nq: NormQuery) -> T.StructType:
     )
 
 
-def _doc_pass(nq: NormQuery) -> Callable[[pd.DataFrame], pd.DataFrame]:
-    """One document's tokens (with ``is_cand``) → its output tuples,
-    timers and counts, as one row."""
-    out_vars = [v for v, _ in nq.query.outputs]
+def _doc_row(sents: list[evaluate.Sentence], cand: set[int], nq: NormQuery) -> dict:
+    """One document's decoded sentences → its output tuples, timers and
+    counts: the extract clause on its candidate sentences (Alg. 2), then
+    satisfying and excluding (§4.4)."""
+    rows: list[dict] = []
+    gsp_s = eval_s = 0.0
+    n_cand = n_sents = 0
+    for sent in sents:
+        if sent.sid not in cand:
+            continue
+        r, g, e = evaluate.eval_sentence_timed(sent, nq)
+        rows += r
+        gsp_s += g
+        eval_s += e
+        n_cand += 1
+        n_sents += bool(r)
 
-    def run_doc(pdf: pd.DataFrame) -> pd.DataFrame:
+    t0 = perf_counter()
+    kept = aggregate.apply_doc(sents, rows, nq)
+    satisfying_s = perf_counter() - t0
+    return {
+        "doc_id": sents[0].doc_id,
+        "tuples": [{v: r[v] for v, _ in nq.query.outputs} for r in kept],
+        "decode_s": 0.0, "gsp_s": gsp_s, "eval_s": eval_s,
+        "satisfying_s": satisfying_s,
+        "n_cand": n_cand, "n_rows": len(rows), "n_sents": n_sents,
+    }
+
+
+def _batch_pass(
+    nq: NormQuery,
+) -> Callable[[Iterator[pd.DataFrame]], Iterator[pd.DataFrame]]:
+    """One partition's Arrow batches of token rows (with ``is_cand``),
+    sorted by ``(doc_id, sid, tid)`` → one frame per batch, one row per
+    document. A batch boundary may cut a document, so each batch's last
+    document is carried into the next batch. LoadArticle covers the wait
+    for each batch, its conversion to pandas and its decode; a batch's
+    LoadArticle time is booked on its first document."""
+    columns = _pass_schema(nq).fieldNames()
+
+    def docs_frame(pdf: pd.DataFrame, load_s: float) -> pd.DataFrame:
         t0 = perf_counter()
-        sents = evaluate.sentences(pdf)
+        by_doc: dict[int, list[evaluate.Sentence]] = {}
+        for sent in evaluate.sentences(pdf):
+            by_doc.setdefault(sent.doc_id, []).append(sent)
         cand = set(pdf.sid[pdf.is_cand].tolist())
-        decode_s = perf_counter() - t0
+        load_s += perf_counter() - t0
+        rows = [_doc_row(sents, cand, nq) for sents in by_doc.values()]
+        rows[0]["decode_s"] = load_s
+        return pd.DataFrame(rows, columns=columns)
 
-        rows: list[dict] = []
-        gsp_s = eval_s = 0.0
-        n_sents = 0
-        for sent in sents:
-            if sent.sid not in cand:
-                continue
-            r, g, e = evaluate.eval_sentence_timed(sent, nq)
-            rows += r
-            gsp_s += g
-            eval_s += e
-            n_sents += bool(r)
-
+    def run_batches(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        carry = None
+        load_s = 0.0
         t0 = perf_counter()
-        kept = aggregate.apply_doc(sents, rows, nq)
-        satisfying_s = perf_counter() - t0
-        return pd.DataFrame([{
-            "doc_id": sents[0].doc_id,
-            "tuples": [{v: r[v] for v in out_vars} for r in kept],
-            "decode_s": decode_s, "gsp_s": gsp_s, "eval_s": eval_s,
-            "satisfying_s": satisfying_s,
-            "n_cand": len(cand), "n_rows": len(rows), "n_sents": n_sents,
-        }])
+        for pdf in batches:
+            if carry is not None:
+                pdf = pd.concat([carry, pdf], ignore_index=True)
+            if pdf.empty:
+                continue
+            # The batch's last document may go on in the next batch.
+            doc_ids = pdf["doc_id"].to_numpy()
+            cut = int(np.searchsorted(doc_ids, doc_ids[-1]))
+            carry = pdf.iloc[cut:]
+            load_s += perf_counter() - t0
+            if cut:
+                yield docs_frame(pdf.iloc[:cut], load_s)
+                load_s = 0.0
+            t0 = perf_counter()
+        if carry is not None:
+            yield docs_frame(carry, load_s + perf_counter() - t0)
 
-    return run_doc
+    return run_batches
 
 
 def run(tokens: DataFrame, index: KokoIndex, query: Query) -> RunResult:
@@ -130,9 +174,13 @@ def run(tokens: DataFrame, index: KokoIndex, query: Query) -> RunResult:
     # The candidate articles: every token of a document holding a
     # candidate sentence (the paper loads them from the DBMS into memory).
     # The (doc_id, cand_sids) frame has one row per candidate document, so
-    # it is broadcast: only candidate articles' tokens reach the shuffle
-    # of the groupBy, and of those only the columns the decoder reads.
+    # it is broadcast: only candidate articles' tokens reach the shuffle,
+    # and of those only the columns the decoder reads. Built from pandas it
+    # plans as a local relation, which is cheaper to broadcast than the RDD
+    # a Python list becomes. An explicit partition count keeps AQE from
+    # coalescing the pass into one task on small inputs.
     t0 = perf_counter()
+    spark = tokens.sparkSession
     cols = evaluate.DECODE_COLS
     if cand is None:
         articles = tokens.select(*cols, F.lit(True).alias("is_cand"))
@@ -140,15 +188,17 @@ def run(tokens: DataFrame, index: KokoIndex, query: Query) -> RunResult:
         by_doc: dict[int, list[int]] = {}
         for sid in cand:
             by_doc.setdefault(sid // SENTS_PER_DOC, []).append(sid)
-        cand_docs = tokens.sparkSession.createDataFrame(
-            list(by_doc.items()), "doc_id long, cand_sids array<long>"
+        cand_docs = spark.createDataFrame(
+            pd.DataFrame({"doc_id": list(by_doc), "cand_sids": list(by_doc.values())}),
+            "doc_id long, cand_sids array<long>",
         )
         articles = tokens.join(F.broadcast(cand_docs), "doc_id").select(
             *cols, F.array_contains("cand_sids", F.col("sid")).alias("is_cand")
         )
     docs = (
-        articles.groupBy("doc_id")
-        .applyInPandas(_doc_pass(nq), schema=_pass_schema(nq))
+        articles.repartition(spark.sparkContext.defaultParallelism, "doc_id")
+        .sortWithinPartitions("doc_id", "sid", "tid")
+        .mapInPandas(_batch_pass(nq), schema=_pass_schema(nq))
         .collect()
     )
     timings["extract_wall"] = perf_counter() - t0

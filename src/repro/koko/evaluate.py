@@ -15,12 +15,14 @@ Two modes reproduce Table 1:
   elastic contributes all t(t+1)/2 spans), with adjacency checked last.
 
 Sentence-level evaluation is pure Python (sentences are tiny and already
-pruned by DPLI); the engine's per-document pass and the corpus-level
-reference ``evaluate_corpus`` both run it inside ``applyInPandas`` grouped
-by document. ``sentences`` is the one decoder from token rows to the
-in-memory ``Sentence``: it serves them, the satisfying-clause scan in
-``aggregate`` and the driver-side IKE, NELL and CRF baselines alike. A span ``(s, e)`` is inclusive; empty spans
-are ``(s, s-1)``.
+pruned by DPLI). The engine's pass runs it inside one ``mapInPandas``
+over Arrow batches of doc-partitioned candidate articles; the
+corpus-level reference ``evaluate_corpus`` runs it inside
+``applyInPandas`` grouped by document. ``sentences`` is the one decoder
+from token rows to the in-memory ``Sentence``: it serves both, the
+satisfying-clause scan in ``aggregate`` and the driver-side IKE, NELL and
+CRF baselines alike. A span ``(s, e)`` is inclusive; empty spans are
+``(s, s-1)``.
 """
 from __future__ import annotations
 
@@ -83,11 +85,12 @@ DECODE_COLS = [
 
 
 def sentences(pdf: pd.DataFrame) -> list[Sentence]:
-    """Decode the token rows of any set of documents (one document's in the
-    UDFs, a whole corpus in the baselines), in any order, into their
-    sentences in sid order: one sort by ``(sid, tid)``, one list per
-    column, cut at sid boundaries. Entities are the rows where an entity
-    starts; the null test accepts both ``None`` and Arrow's ``NaN``."""
+    """Decode the token rows of any set of documents (an Arrow batch's in
+    the engine's pass, one document's in ``evaluate_corpus``, a whole
+    corpus in the baselines), in any order, into their sentences in sid
+    order: one sort by ``(sid, tid)``, one list per column, cut at sid
+    boundaries. Entities are the rows where an entity starts; the null
+    test accepts both ``None`` and Arrow's ``NaN``."""
     pdf = pdf.sort_values(["sid", "tid"])
     cols = {f: pdf[c].tolist() for f, c in _LIST_COLS.items()}
     sids, doc_ids = pdf["sid"].tolist(), pdf["doc_id"].tolist()

@@ -98,14 +98,10 @@ class TestCRF:
     def test_more_data_not_worse(self, cafe_qc):
         """Sanity: training signal exists (10% vs 70% training data)."""
         from repro.bench.metrics import prf
-        import numpy as np
         pdf = cafe_qc.tokens.toPandas()
         def f1_at(frac):
             pred = crf.train_and_predict(pdf, cafe_qc.truth, train_frac=frac, epochs=4)
-            doc_ids = sorted(pdf.doc_id.unique())
-            rng = np.random.default_rng(0)
-            rng.shuffle(doc_ids)
-            test = set(doc_ids[int(len(doc_ids) * frac):])
+            test = crf.held_out_docs(pdf.doc_id.unique(), frac, 0)
             return prf(pred, cafe_qc.truth[cafe_qc.truth.doc_id.isin(test)]).f1
         assert f1_at(0.7) >= f1_at(0.1) - 0.15
 

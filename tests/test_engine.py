@@ -1,9 +1,11 @@
 """End-to-end engine tests: the three §6.3 queries on a wiki-lite corpus,
 stage timings and counts, index-pruning consistency (pruned evaluation must
 equal full-scan evaluation for every query of ``koko.queries``), execution
-invariance across shuffle partition counts, Spark against driver-side
-evaluation, the Spark jobs one query launches, a zero-candidate query, an
-empty corpus and a token table that breaks the sid numbering."""
+invariance across shuffle partition counts and Arrow batch sizes, the
+batch function's carry of a document cut by a batch boundary, Spark
+against driver-side evaluation, the Spark jobs one query launches, a
+zero-candidate query, an empty corpus and a token table that breaks the
+sid numbering."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -230,6 +232,63 @@ class TestExecutionInvariance:
         finally:
             spark.conf.set(conf, saved)
         assert out[1] and out[1] == out[64]
+
+
+class TestBatchBoundary:
+    """The pass sees each partition as Arrow batches of
+    ``maxRecordsPerBatch`` rows; with 7-row batches most documents, and
+    many sentences, span a batch boundary, and the result is unchanged."""
+
+    @pytest.mark.parametrize(
+        "corpus,qf",
+        [("wiki", queries.title), ("sprudge", lambda: queries.cafe(0.6))],
+        ids=["title", "cafe"],
+    )
+    def test_small_batches_match_unpruned(self, spark, corpora, corpus, qf):
+        tokens, index = corpora(corpus)
+        conf = "spark.sql.execution.arrow.maxRecordsPerBatch"
+        saved = spark.conf.get(conf)
+        try:
+            spark.conf.set(conf, "7")
+            res = engine.run(tokens, index, qf())
+        finally:
+            spark.conf.set(conf, saved)
+        full = _unpruned(tokens, qf())
+        assert len(full) > 0
+        assert _key(res.results) == _key(full)
+
+
+class TestBatchCarry:
+    """The batch function on the driver: the same sorted rows cut into
+    batches at any row offsets, mid-sentence included (offset 0 makes an
+    empty first batch), give the same per-document rows as one batch."""
+
+    CASES = [
+        (fixtures.paper_rows, queries.example_21),            # one document
+        (fixtures.ex22_rows, lambda: queries.example_22("city")),  # two
+    ]
+
+    @staticmethod
+    def _docs(nq, batches):
+        out = pd.concat(list(engine._batch_pass(nq)(iter(batches))), ignore_index=True)
+        assert out.decode_s.sum() > 0
+        return out.drop(columns=list(engine._TIMERS.values())).to_dict("records")
+
+    @pytest.mark.parametrize("rows,qf", CASES, ids=["example_21", "example_22"])
+    def test_any_cut_gives_one_batch_rows(self, rows, qf):
+        nq = normalize.normalize(qf())
+        pdf = (
+            rows().sort_values(["doc_id", "sid", "tid"]).reset_index(drop=True)
+            .assign(is_cand=True)[[*evaluate.DECODE_COLS, "is_cand"]]
+        )
+        whole = self._docs(nq, [pdf])
+        assert any(d["tuples"] for d in whole)
+        n = len(pdf)
+        cuts = [[i] for i in range(n)] + [[1, n // 2, n - 1], list(range(1, n))]
+        for cut in cuts:
+            bounds = [0, *cut, n]
+            batches = [pdf.iloc[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            assert self._docs(nq, batches) == whole, cut
 
 
 class TestJobCount:
