@@ -14,6 +14,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from ..koko.ast import Query, SpanAtom, SpanDef, Step, elastic, tokens_atom
+from ..nlp.deptree import triple_elems
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ def _samples(tokens: DataFrame) -> tuple[pd.DataFrame, list[str]]:
 
 
 def _path_atom_from(tp: str, rng: np.random.Generator) -> SpanAtom:
-    elems = [tuple(e.split("|")) for e in tp.strip("/").split("/")]
+    elems = triple_elems(tp)
     mode = int(rng.integers(3))
     lab, pos, tok = elems[-1]
     if mode == 0:  # POS anywhere

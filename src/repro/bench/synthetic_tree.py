@@ -1,6 +1,6 @@
 """Synthetic Tree benchmark (§6.2.2).
 
-350-ish queries with node variables forming paths or tree patterns,
+360 queries with node variables forming paths or tree patterns,
 generated from *observed* corpus paths (so selectivity is controllable
 and non-trivial): path length 2–5 × attribute types (parse / parse+POS /
 parse+POS+text / POS) × wildcard or not × root-anchored or not, 5 random
@@ -18,6 +18,7 @@ from pyspark.sql import DataFrame
 
 from ..indexing.pathmatch import Step
 from ..koko.ast import NodeDef, Query
+from ..nlp.deptree import triple_elems
 
 ATTR_TYPES = ("parse", "parse_pos", "parse_pos_text", "pos")
 
@@ -38,10 +39,6 @@ def _path_stats(tokens: DataFrame) -> pd.DataFrame:
     return (
         tokens.groupBy("triple_path").count().toPandas().sort_values("count")
     ).reset_index(drop=True)
-
-
-def _elems(triple_path: str) -> list[tuple[str, str, str]]:
-    return [tuple(e.split("|")) for e in triple_path.strip("/").split("/")]
 
 
 def _mk_step(axis: str, elem: tuple[str, str, str], attr: str, with_text: bool) -> Step:
@@ -76,7 +73,7 @@ def path_queries(tokens: DataFrame, *, per_setting: int = 5, seed: int = 0) -> l
                 for rooted in (True, False):
                     pool = stats[stats.depth >= length]
                     for k, tp in enumerate(_pick_spread(pool, per_setting, rng)):
-                        elems = _elems(tp)
+                        elems = triple_elems(tp)
                         seg = elems[:length] if rooted else elems[-length:]
                         steps = []
                         for i, e in enumerate(seg):
@@ -108,7 +105,7 @@ def tree_pattern_queries(
     # children of each parse-label path prefix
     children: dict[str, set[str]] = {}
     for tp in stats.triple_path:
-        elems = _elems(tp)
+        elems = triple_elems(tp)
         for i in range(1, len(elems)):
             prefix = "/" + "/".join(l for l, _, _ in elems[:i])
             children.setdefault(prefix, set()).add(elems[i][0])

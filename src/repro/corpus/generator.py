@@ -11,7 +11,8 @@ depth, sub_lo, sub_hi, pl_path, pos_path, triple_path, etype, ent_lo,
 ent_hi, ent_text``. ``sid`` is globally unique
 (``doc_id * SENTS_PER_DOC + i``, at most ``SENTS_PER_DOC`` sentences a doc).
 Entity columns are null for tokens outside any entity span;
-``entities_of`` projects the entity table out of the token table.
+``entities_of`` projects the entity table out of the token table and
+``has_etype`` is the one Spark reading of a required entity type.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
@@ -171,3 +172,9 @@ def entities_of(tokens: DataFrame) -> DataFrame:
             "etype",
         )
     )
+
+
+def has_etype(etype: str) -> Column:
+    """Rows (of the token or entity table) inside an entity of type
+    ``etype``, where ``Entity`` means an entity of any type."""
+    return F.col("etype").isNotNull() if etype == "Entity" else F.col("etype") == etype

@@ -13,43 +13,25 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from . import sidsets
+from .inverted import label_rows
 from .pathmatch import Step
 
 _COLS = ["x", "y", "left", "right", "depth", "pid"]
 
 
 def build(tokens: DataFrame) -> DataFrame:
-    base = tokens.select(
-        "token", "pos", "label",
+    return label_rows(
+        tokens,
         F.col("sid").alias("x"), F.col("tid").alias("y"),
         F.col("sub_lo").alias("left"), F.col("sub_hi").alias("right"),
         "depth", F.col("head").alias("pid"),
     )
-    parts = [
-        base.select(F.col("token").alias("plabel"), *_COLS),
-        base.select(F.col("pos").alias("plabel"), *_COLS),
-        base.select(F.col("label").alias("plabel"), *_COLS),
-    ]
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.unionByName(p)
-    return out
 
 
 def _step_tokens(index: DataFrame, step: Step) -> DataFrame:
     """Tokens satisfying every attribute of one step (self-join per extra
     attribute on the same (x, y))."""
-    wanted: list[str] = []
-    if step.kind == "word":
-        wanted.append(step.label)
-    elif step.kind == "pos":
-        wanted.append(step.label.upper())
-    elif step.kind == "parse":
-        wanted.append(step.label)
-    if step.cond("text"):
-        wanted.append(step.cond("text"))
-    if step.cond("pos"):
-        wanted.append(step.cond("pos").upper())
+    wanted = step.labels()
     if not wanted:  # wildcard: one row per token via the parse-label copy
         return index.groupBy(*_COLS).agg(F.count("*").alias("_n")).drop("_n")
     out = index.where(F.col("plabel") == wanted[0]).select(*_COLS)

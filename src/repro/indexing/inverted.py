@@ -8,6 +8,8 @@ paper) and its intermediate results large.
 """
 from __future__ import annotations
 
+from functools import reduce
+
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -15,35 +17,22 @@ from . import sidsets
 from .pathmatch import Step
 
 
+def label_rows(tokens: DataFrame, *cols) -> DataFrame:
+    """One row per token and label attribute — its word, POS tag and
+    parse label, each as ``plabel`` — carrying the token's ``cols``."""
+    return reduce(
+        DataFrame.unionByName,
+        [tokens.select(F.col(a).alias("plabel"), *cols) for a in ("token", "pos", "label")],
+    )
+
+
 def build(tokens: DataFrame) -> DataFrame:
-    base = tokens.select("sid", "tid", "token", "pos", "label")
-    parts = [
-        base.select(F.col("token").alias("plabel"), F.col("sid").alias("x"), F.col("tid").alias("y")),
-        base.select(F.col("pos").alias("plabel"), F.col("sid").alias("x"), F.col("tid").alias("y")),
-        base.select(F.col("label").alias("plabel"), F.col("sid").alias("x"), F.col("tid").alias("y")),
-    ]
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.unionByName(p)
-    return out
+    return label_rows(tokens, F.col("sid").alias("x"), F.col("tid").alias("y"))
 
 
 def query_labels(paths: list[list[Step]]) -> list[str]:
     """All concrete labels a query mentions (words / POS / parse labels)."""
-    labels: list[str] = []
-    for steps in paths:
-        for s in steps:
-            if s.kind == "word":
-                labels.append(s.label)
-            elif s.kind == "pos":
-                labels.append(s.label.upper())
-            elif s.kind == "parse":
-                labels.append(s.label)
-            if s.cond("text"):
-                labels.append(s.cond("text"))
-            if s.cond("pos"):
-                labels.append(s.cond("pos").upper())
-    return sorted(set(labels))
+    return sorted({lab for steps in paths for s in steps for lab in s.labels()})
 
 
 def candidate_sentences(index: DataFrame, paths: list[list[Step]]) -> DataFrame:

@@ -1,4 +1,11 @@
-"""Path-pattern → regex translation for hierarchy-index lookups.
+"""Path steps and their translation into index lookups.
+
+A ``Step`` reads, once, which token attributes it constrains: its
+``parse`` label, ``pos`` tag and ``word`` (each None when the step leaves
+that attribute free). Every matcher reads those projections: DPLI's
+decomposition into a parse-label path, a POS path and a word path
+(§4.2.1, Example 4.2), the exact triple-path matcher, and the INVERTED
+and ADVINVERTED baselines' label lookups.
 
 Hierarchy-index nodes are identified by their root-to-node path string
 (``/root/dobj/nn``); a KOKO path expression with ``/`` (child), ``//``
@@ -38,6 +45,27 @@ class Step:
             if k == key:
                 return v
         return None
+
+    @property
+    def parse(self) -> str | None:
+        """The parse label this step requires."""
+        return self.label if self.kind == "parse" else None
+
+    @property
+    def pos(self) -> str | None:
+        """The POS tag this step requires (its label or ``@pos``),
+        upper-cased as the corpus stores it."""
+        tag = self.label if self.kind == "pos" else self.cond("pos")
+        return tag.upper() if tag else None
+
+    @property
+    def word(self) -> str | None:
+        """The token this step requires (a quoted label or ``@text``)."""
+        return self.label if self.kind == "word" else self.cond("text") or None
+
+    def labels(self) -> list[str]:
+        """Every label this step requires: parse label, word, POS tag."""
+        return [lab for lab in (self.parse, self.word, self.pos) if lab is not None]
 
 
 def parse_path(path: str) -> list[Step]:
@@ -88,14 +116,7 @@ def label_path_regex(steps: list[Step], attr: str) -> str | None:
     """
     out, informative = "^", False
     for s in steps:
-        if attr == "parse":
-            lab = s.label if s.kind == "parse" else None
-        else:
-            lab = None
-            if s.kind == "pos":
-                lab = s.label.upper()
-            elif s.cond("pos"):
-                lab = s.cond("pos").upper()
+        lab = s.parse if attr == "parse" else s.pos
         if lab is None:
             pat = "[^/]+"
         else:
@@ -110,13 +131,7 @@ def label_path_regex(steps: list[Step], attr: str) -> str | None:
 def word_path_words(steps: list[Step]) -> list[tuple[int, str]]:
     """(step index, word) for every step that constrains the token text —
     quoted labels and ``@text`` conditions (Example 4.2)."""
-    out = []
-    for i, s in enumerate(steps):
-        if s.kind == "word":
-            out.append((i, s.label))
-        elif s.cond("text"):
-            out.append((i, s.cond("text")))
-    return out
+    return [(i, s.word) for i, s in enumerate(steps) if s.word is not None]
 
 
 def gap(steps: list[Step], i: int, j: int) -> tuple[int, bool]:
@@ -131,18 +146,13 @@ def triple_path_regex(steps: list[Step]) -> str:
     step's full condition set simultaneously (exact matching)."""
     out = "^"
     for s in steps:
-        lbl = re.escape(s.label) if s.kind == "parse" else r"[^/|]*"
-        pos = r"[^/|]*"
-        if s.kind == "pos":
-            pos = re.escape(s.label.upper())
-        elif s.cond("pos"):
-            pos = re.escape(s.cond("pos").upper())
-        word = r"[^/|]*"
-        if s.kind == "word":
-            word = re.escape(s.label)
-        elif s.cond("text"):
-            word = re.escape(s.cond("text"))
-        elif s.cond("regex"):
+        word = _field(s.word)
+        if s.word is None and s.cond("regex"):
             word = f"(?:{s.cond('regex')})"
-        out += _elem(f"{lbl}\\|{pos}\\|{word}", s.axis)
+        out += _elem(f"{_field(s.parse)}\\|{_field(s.pos)}\\|{word}", s.axis)
     return out + "$"
+
+
+def _field(value: str | None) -> str:
+    """One field of a triple-path step: the value, or any value."""
+    return r"[^/|]*" if value is None else re.escape(value)

@@ -100,10 +100,11 @@ def build(tokens: DataFrame) -> SubtreeIndex:
 
 
 def _attr_of(step: Step) -> tuple[str, str]:
-    if step.kind == "parse" and not step.conds:
-        return "parse", step.label
-    if step.kind == "pos" and not step.conds:
-        return "pos", step.label.upper()
+    if not step.conds:
+        if step.parse is not None:
+            return "parse", step.parse
+        if step.pos is not None:
+            return "pos", step.pos
     raise Unsupported(f"step {step.axis}{step.label} not indexable (mss/root-split)")
 
 

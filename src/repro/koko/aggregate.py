@@ -4,8 +4,9 @@
 For every candidate value of a satisfying-clause variable, the score is
 ``Σ_i w_i · m_i(e)`` over the clause's conditions:
 
-- string-level booleans (``contains`` / ``mentions`` / ``matches``) and
-  ``similar_to`` need no corpus scan;
+- string-level booleans (``contains`` / ``mentions`` / ``matches`` /
+  ``in_dict``) and ``similar_to`` need no corpus scan; the excluding
+  clause reads the booleans the same way;
 - evidence conditions (``follows`` / ``precedes`` / ``near`` /
   descriptors) scan every sentence of the document where the value is
   mentioned: booleans contribute 0/1 (any-sentence semantics), ``near``
@@ -70,6 +71,7 @@ def _occurs(seq: tuple[str, ...], words: list[str]) -> bool:
 
 
 _SCAN_KINDS = frozenset({"follows", "precedes", "near", "desc_right", "desc_left"})
+_BOOLEAN_KINDS = frozenset({"contains", "mentions", "matches", "in_dict"})
 
 
 def _string_level(cond: SatCond, value: str) -> float | None:
@@ -80,6 +82,8 @@ def _string_level(cond: SatCond, value: str) -> float | None:
         return 1.0 if cond.arg.lower() in value.lower() else 0.0
     if cond.kind == "matches":
         return 1.0 if re.fullmatch(cond.arg, value) else 0.0
+    if cond.kind == "in_dict":
+        return 1.0 if value in DICTIONARIES.get(cond.arg, set()) else 0.0
     if cond.kind == "similar_to":
         return max(embeddings.similarity(w, cond.arg) for w in value.split())
     return None
@@ -213,16 +217,9 @@ def score_values(
 
 
 def excluded(value: str, conds: list[SatCond]) -> bool:
-    for c in conds:
-        if c.kind == "matches" and re.fullmatch(c.arg, value):
-            return True
-        if c.kind == "contains" and c.arg in value:
-            return True
-        if c.kind == "mentions" and c.arg.lower() in value.lower():
-            return True
-        if c.kind == "in_dict" and value in DICTIONARIES.get(c.arg, set()):
-            return True
-    return False
+    """Whether any boolean string condition holds of ``value``, read as a
+    satisfying clause reads it (``_string_level``)."""
+    return any(c.kind in _BOOLEAN_KINDS and _string_level(c, value) for c in conds)
 
 
 def apply_doc(sents: list[Sentence], rows: list[dict], nq: NormQuery) -> list[dict]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from ..corpus.generator import has_etype
 from ..indexing import pathmatch, sidsets
 from ..indexing.koko_index import KokoIndex, lookup_word
 from ..indexing.pathmatch import Step
@@ -168,6 +169,5 @@ def run(index: KokoIndex, nq: NormQuery) -> DataFrame | None:
     dominants = sorted({nq.dominant[v] for v in paths})
     sid_sets = [path_bindings(index, paths[d]) for d in dominants]
     for etype in entity_vars(nq).values():
-        e = index.entity
-        sid_sets.append(e if etype == "Entity" else e.where(F.col("etype") == etype))
+        sid_sets.append(index.entity.where(has_etype(etype)))
     return sidsets.intersect(sid_sets)

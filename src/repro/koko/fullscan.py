@@ -1,12 +1,15 @@
 """Exact full-scan matcher — the reference KOKO's index lookups are
 measured against.
 
-Matches every node variable *exactly* (all per-step conditions at once,
-via the combined ``triple_path`` regex) and enforces consistency between
-variables (a child variable's witness must hang off one of its base
-variable's witnesses) with DataFrame semijoins, bottom-up over the
-variable tree. Used for the *index effectiveness score* (§6.2.2: true
-sentences ÷ sentences the index returns) and as the completeness oracle
+Matches every node variable *exactly*: all per-step conditions at once,
+through the combined ``triple_path`` regex that ``pathmatch`` builds from
+each step's ``parse``, ``pos`` and ``word`` projections, and the last
+step's ``etype`` through ``generator.has_etype``, the rule DPLI reads
+(``Entity`` means any type). It enforces consistency between variables
+(a child variable's witness must hang off one of its base variable's
+witnesses) with DataFrame semijoins, bottom-up over the variable tree.
+Used for the *index effectiveness score* (§6.2.2: true sentences ÷
+sentences the index returns) and as the completeness oracle
 in DPLI tests. Not part of the KOKO engine's fast path.
 """
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from ..corpus.generator import has_etype
 from ..indexing import pathmatch
 from ..indexing.pathmatch import Step
 from .normalize import NormQuery
@@ -25,7 +29,7 @@ def var_matches(tokens: DataFrame, steps: list[Step]) -> DataFrame:
     out = tokens.where(F.col("triple_path").rlike(rx))
     etype = steps[-1].cond("etype") if steps else None
     if etype:
-        out = out.where(F.col("etype") == etype)
+        out = out.where(has_etype(etype))
     return out.select(
         F.col("sid").alias("x"), F.col("tid").alias("y"),
         F.col("sub_lo").alias("u"), F.col("sub_hi").alias("v"),

@@ -17,8 +17,6 @@ from .ast import SpanAtom, SpanDef
 def atom_cost(atom: SpanAtom, costs: dict[str, int], t: int) -> int:
     if atom.kind == "elastic" and atom.etype is None:
         return t * (t + 1) // 2
-    if atom.kind == "tokens":
-        return max(1, costs.get("#tokens", 1))
     return costs.get(atom.var, t)
 
 

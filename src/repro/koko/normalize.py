@@ -41,14 +41,9 @@ def _absolutize(defs: list[NodeDef]) -> tuple[dict[str, list[Step]], list[Constr
             abs_paths[d.name] = list(d.steps)
         elif d.base in abs_paths:
             abs_paths[d.name] = abs_paths[d.base] + list(d.steps)
-            rel = d.steps[0].axis if d.steps else "/"
-            only_children = all(s.axis == "/" for s in d.steps)
-            if len(d.steps) == 1 and rel == "/":
-                derived.append(Constraint("parentOf", d.base, d.name))
-            elif only_children:
-                derived.append(Constraint("ancestorOf", d.base, d.name))
-            else:
-                derived.append(Constraint("ancestorOf", d.base, d.name))
+            one_hop = len(d.steps) == 1 and d.steps[0].axis == "/"
+            kind = "parentOf" if one_hop else "ancestorOf"
+            derived.append(Constraint(kind, d.base, d.name))
         else:
             remaining.append(d)
     return abs_paths, derived

@@ -90,6 +90,12 @@ def triple_paths(
     return out
 
 
+def triple_elems(triple_path: str) -> list[tuple[str, str, str]]:
+    """The ``(label, POS, token)`` triples of one ``triple_paths`` string,
+    root first."""
+    return [tuple(e.split("|")) for e in triple_path.strip("/").split("/")]
+
+
 def parents(heads: Sequence[int]) -> list[int]:
     """Alias with validation: returns heads as a list, checking exactly
     one root exists."""

@@ -253,3 +253,27 @@ class TestIntersection:
         frames = [spark.range(k, k + 100).toDF("x") for k in range(70)]
         assert _sids(sidsets.intersect(frames)) == set(range(69, 100))
         assert sidsets.intersect([]) is None
+
+
+@pytest.fixture(scope="module")
+def small_wiki(spark):
+    tokens = generator.wiki_corpus(spark, 40, seed=9).cache()
+    tokens.count()
+    return tokens, koko_index.build(tokens).cache()
+
+
+class TestTreeBenchmark:
+    def test_complete_vs_fullscan_all_queries(self, small_wiki):
+        """Every SyntheticTree query: the candidates ⊇ the sentences with a
+        consistent node assignment (§4.2.2). A small corpus keeps the
+        whole query set affordable."""
+        tokens, index = small_wiki
+        qs = synthetic_tree.benchmark(tokens, seed=0)
+        assert len(qs) == 360
+        bad = []
+        for tq in qs:
+            nq = normalize.normalize(tq.query())
+            missed = fullscan.true_sids(tokens, nq).join(dpli.run(index, nq), "x", "left_anti")
+            if missed.take(1):
+                bad.append(tq.name)
+        assert not bad, bad

@@ -2,8 +2,8 @@
 import pytest
 
 from repro.corpus import fixtures, generator
-from repro.indexing import pathmatch
-from repro.koko import fullscan, normalize
+from repro.indexing import koko_index, pathmatch
+from repro.koko import dpli, evaluate, fullscan, normalize
 from repro.koko.ast import NodeDef, Query
 from repro.oracle import assert_equivalent
 
@@ -80,3 +80,25 @@ class TestTrueSids:
         called = {r.sid for r in tokens.where(F.col("token") == "called").collect()}
         assert sids <= called
         assert sids  # title template occurs in 40 docs with high prob
+
+
+@pytest.fixture(scope="module")
+def wiki(spark):
+    tokens = generator.wiki_corpus(spark, 40, seed=5).cache()
+    sents = evaluate.sentences(tokens.select(*evaluate.DECODE_COLS).toPandas())
+    return tokens, koko_index.build(tokens).cache(), sents
+
+
+class TestEntityType:
+    @pytest.mark.parametrize("etype", ["Entity", "Person"])
+    def test_matches_evaluator(self, wiki, etype):
+        """The oracle reads ``etype`` as the evaluator does (``Entity``:
+        any type), and DPLI's lookup of the path covers what it finds."""
+        tokens, index, sents = wiki
+        steps = pathmatch.parse_path(f'//propn[etype="{etype}"]')
+        nq = normalize.normalize(Query(outputs=[], node_defs=[NodeDef("p", None, steps)]))
+        local = {(s.sid, t) for s in sents for t in evaluate.node_bindings(s, nq)["p"]}
+        scan = {(r.x, r.y) for r in fullscan.var_matches(tokens, steps).collect()}
+        bound = {(r.x, r.y) for r in dpli.path_bindings(index, steps).collect()}
+        assert scan and scan == local
+        assert scan <= bound
