@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from functools import reduce
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from . import sidsets
 from .pathmatch import Step
 
 
-def label_rows(tokens: DataFrame, *cols) -> DataFrame:
+def label_rows(tokens: DataFrame, *cols: Column | str) -> DataFrame:
     """One row per token and label attribute — its word, POS tag and
     parse label, each as ``plabel`` — carrying the token's ``cols``."""
     return reduce(

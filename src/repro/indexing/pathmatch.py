@@ -4,8 +4,8 @@ A ``Step`` reads, once, which token attributes it constrains: its
 ``parse`` label, ``pos`` tag and ``word`` (each None when the step leaves
 that attribute free). Every matcher reads those projections: DPLI's
 decomposition into a parse-label path, a POS path and a word path
-(§4.2.1, Example 4.2), the exact triple-path matcher, and the INVERTED
-and ADVINVERTED baselines' label lookups.
+(§4.2.1, Example 4.2), the exact triple-path matcher, and the INVERTED,
+ADVINVERTED and SUBTREE baselines' label lookups.
 
 Hierarchy-index nodes are identified by their root-to-node path string
 (``/root/dobj/nn``); a KOKO path expression with ``/`` (child), ``//``
