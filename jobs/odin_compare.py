@@ -1,5 +1,6 @@
 """§6.3 Odin comparison — Odin-sim (index-free full scan) vs KOKO on the
-three scalability queries; reports the slowdown factor.
+three scalability queries; reports the slowdown factor next to the
+sentences each side evaluates (KOKO: DPLI's candidates; Odin: all).
 
 Usage: python jobs/odin_compare.py [--docs 500]
 """
@@ -26,17 +27,19 @@ def main() -> None:
     tokens = generator.wiki_corpus(spark, args.docs, seed=13)
     tokens.cache().count()
     index = koko_index.build(tokens).cache()
-    print(f"{'query':<14} {'koko_s':>8} {'odin_s':>8} {'slowdown':>9}")
+    print(f"{'query':<14} {'koko_s':>8} {'odin_s':>8} {'slowdown':>9} "
+          f"{'koko_sents':>10} {'odin_sents':>10}")
     for name, qf in (
         ("Chocolate", queries.chocolate),
         ("Title", queries.title),
         ("DateOfBirth", queries.date_of_birth),
     ):
         t0 = perf_counter()
-        engine.run(tokens, index, qf())
+        rr = engine.run(tokens, index, qf())
         koko_s = perf_counter() - t0
         o = odin.run(tokens, qf())
-        print(f"{name:<14} {koko_s:>8.2f} {o.seconds:>8.2f} {o.seconds / koko_s:>8.1f}x")
+        print(f"{name:<14} {koko_s:>8.2f} {o.seconds:>8.2f} {o.seconds / koko_s:>8.1f}x "
+              f"{rr.n_candidate_sentences:>10} {o.n_sentences:>10}")
     spark.stop()
 
 

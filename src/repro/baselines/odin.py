@@ -3,11 +3,11 @@
 Odin is a CPSL-style rule engine with no indices: every rule is matched
 against every sentence (iterating until no new matches; with priorities
 supplied, one prioritized pass). We translate KOKO queries by dropping
-the satisfying clause (Odin cannot aggregate evidence) and run the same
-per-sentence matcher over the **entire** corpus — no DPLI pruning, which
-is exactly where the paper's 40×/23×/1.3× slowdowns come from: the more
-selective the query, the more KOKO's indices skip and the larger Odin's
-relative cost.
+the satisfying clause (Odin cannot aggregate evidence) and run the
+engine's own pass (``engine.run_pass``) over the **entire** corpus, so
+the comparison measures DPLI pruning, not plumbing — exactly where the
+paper's 40×/23×/1.3× slowdowns come from: the more selective the query,
+the more KOKO's indices skip and the larger Odin's relative cost.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from time import perf_counter
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from ..koko import evaluate, normalize
+from ..koko import engine, normalize
 from ..koko.ast import Query
 
 
@@ -25,6 +25,7 @@ from ..koko.ast import Query
 class OdinResult:
     results: pd.DataFrame
     seconds: float
+    n_sentences: int  # sentences evaluated: every sentence of the corpus
 
 
 def translate(query: Query) -> Query:
@@ -35,7 +36,5 @@ def translate(query: Query) -> Query:
 def run(tokens: DataFrame, query: Query) -> OdinResult:
     nq = normalize.normalize(translate(query))
     t0 = perf_counter()
-    ext = evaluate.evaluate_corpus(tokens, nq)
-    out_cols = [v for v, _ in nq.query.outputs]
-    res = ext.toPandas()[["doc_id"] + out_cols].drop_duplicates().reset_index(drop=True)
-    return OdinResult(results=res, seconds=perf_counter() - t0)
+    rr = engine.run_pass(tokens, nq, None)
+    return OdinResult(rr.results, perf_counter() - t0, rr.n_candidate_sentences)

@@ -68,16 +68,33 @@ class Step:
         return [lab for lab in (self.parse, self.word, self.pos) if lab is not None]
 
 
+# The step conditions some matcher reads (``etype`` on a last step only).
+_COND_KEYS = frozenset({"pos", "text", "regex", "etype"})
+
+
+def check_steps(steps: list[Step]) -> None:
+    """Raise ``ValueError`` on a condition no matcher would enforce: an
+    unknown key, or an ``etype`` on any step but the last."""
+    for i, s in enumerate(steps):
+        keys = {k for k, _ in s.conds}
+        if keys - _COND_KEYS:
+            raise ValueError(f"unknown condition {sorted(keys - _COND_KEYS)} on step {s.label!r}")
+        if "etype" in keys and i != len(steps) - 1:
+            raise ValueError(f"etype on step {s.label!r}: only a path's last step may carry one")
+
+
 def parse_path(path: str) -> list[Step]:
     """Parse the paper's path syntax: ``//verb[@text="ate"]/dobj//"delicious"``.
 
     Bracket conditions accept ``@pos=…``, ``@text=…``, ``@regex=…``,
-    ``etype=…`` (comma-separated, values quoted).
+    ``etype=…`` (comma-separated, values quoted); anything else in the
+    brackets, or a condition ``check_steps`` rejects, raises ``ValueError``.
     """
     steps: list[Step] = []
     i = 0
     token_re = re.compile(r'("([^"]*)"|\*|[A-Za-z_][A-Za-z0-9_]*)')
-    cond_re = re.compile(r'@?(\w+)\s*=\s*"([^"]*)"')
+    cond = r'\s*@?(\w+)\s*=\s*"([^"]*)"\s*'
+    cond_re, conds_re = re.compile(cond), re.compile(f"{cond}(?:,{cond})*")
     while i < len(path):
         if path.startswith("//", i):
             axis, i = "//", i + 2
@@ -97,10 +114,12 @@ def parse_path(path: str) -> list[Step]:
         conds: list[tuple[str, str]] = []
         if i < len(path) and path[i] == "[":
             j = path.index("]", i)
-            for cm in cond_re.finditer(path[i + 1 : j]):
-                conds.append((cm.group(1), cm.group(2)))
+            if not conds_re.fullmatch(path, i + 1, j):
+                raise ValueError(f"bad conditions {path[i : j + 1]!r}")
+            conds = cond_re.findall(path, i + 1, j)
             i = j + 1
         steps.append(Step(axis, label, kind, tuple(conds)))
+    check_steps(steps)
     return steps
 
 

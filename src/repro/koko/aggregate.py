@@ -23,9 +23,9 @@ The per-document work lives in two functions over one document's decoded
 sentences: ``score_doc`` (one clause's scores) and ``apply_doc`` (every
 clause's threshold, then excluding). The engine calls ``apply_doc`` inside
 its single pass over the candidate articles. ``score_values`` and
-``apply_clauses`` are the corpus-level reference: they score candidate
-values broadcast in the UDF closure (they are small — distinct extraction
-values) through the same ``score_doc``. Mentions are found with the extract
+``apply_clauses`` are the unpruned reference the pass is checked against:
+on the driver, they decode each candidate value's document and score it
+through the same ``score_doc``. Mentions are found with the extract
 clause's own entity-span and token-sequence matching.
 """
 from __future__ import annotations
@@ -36,12 +36,11 @@ from functools import lru_cache
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
 from ..corpus import vocab
 from ..nlp import decompose, embeddings
 from .ast import SatCond, Satisfying
-from .evaluate import Sentence, Span, _token_occurrences, sentences
+from .evaluate import DECODE_COLS, Sentence, Span, _token_occurrences, documents
 from .normalize import NormQuery
 
 DICTIONARIES: dict[str, set[str]] = {
@@ -193,27 +192,12 @@ def score_values(
         int(d): sorted(g["value"].unique())
         for d, g in candidates.groupby("doc_id")
     }
-    schema = T.StructType(
-        [
-            T.StructField("doc_id", T.LongType()),
-            T.StructField("value", T.StringType()),
-            T.StructField("score", T.DoubleType()),
-        ]
-    )
-
-    def run_doc(pdf: pd.DataFrame) -> pd.DataFrame:
-        doc_id = int(pdf.doc_id.iloc[0])
-        values = cand_by_doc.get(doc_id, [])
-        if not values:
-            return pd.DataFrame(columns=["doc_id", "value", "score"])
-        scores = score_doc(sentences(pdf), values, clause)
-        return pd.DataFrame(
-            [{"doc_id": doc_id, "value": v, "score": s} for v, s in scores.items()]
-        )
-
-    doc_ids = list(cand_by_doc)
-    scoped = tokens.where(F.col("doc_id").isin(doc_ids)) if doc_ids else tokens.limit(0)
-    return scoped.groupBy("doc_id").applyInPandas(run_doc, schema=schema).toPandas()
+    scoped = tokens.where(F.col("doc_id").isin(list(cand_by_doc))).select(*DECODE_COLS)
+    rows = []
+    for doc_id, sents in documents(scoped.toPandas()).items():
+        scores = score_doc(sents, cand_by_doc[doc_id], clause)
+        rows += [(doc_id, v, s) for v, s in scores.items()]
+    return pd.DataFrame(rows, columns=["doc_id", "value", "score"])
 
 
 def excluded(value: str, conds: list[SatCond]) -> bool:
@@ -238,18 +222,15 @@ def apply_doc(sents: list[Sentence], rows: list[dict], nq: NormQuery) -> list[di
 
 
 def apply_clauses(
-    tokens: DataFrame, extractions: DataFrame, nq: NormQuery
+    tokens: DataFrame, extractions: pd.DataFrame, nq: NormQuery
 ) -> pd.DataFrame:
     """Filter extraction rows by every satisfying clause (doc-aggregated
     threshold) and the excluding clause; project to the output tuple.
 
-    Returns a pandas DataFrame (final results are small relative to the
-    corpus; the heavy scans above stay distributed).
+    ``extractions`` is ``evaluate.evaluate_corpus``'s frame.
     """
-    ext = extractions.toPandas()
+    ext = extractions
     out_cols = [v for v, _ in nq.query.outputs]
-    if ext.empty:
-        return pd.DataFrame(columns=["doc_id"] + out_cols)
     for clause in nq.query.satisfying:
         cand = ext[["doc_id", clause.var]].rename(columns={clause.var: "value"})
         cand = cand.dropna().drop_duplicates()

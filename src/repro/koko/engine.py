@@ -1,21 +1,22 @@
 """End-to-end KOKO query execution with Table-2-style stage timings.
 
 Pipeline (Figure 2): Normalize → DPLI (index lookups, candidate
-sentences) → one pass over the candidate articles. DPLI's candidate sids
-are collected to the driver and grouped into a ``(doc_id, cand_sids)``
-frame. The pass is one ``mapInPandas`` over the tokens of every document
-holding a candidate sentence, each row flagged ``is_cand``, hash-
-partitioned by ``doc_id`` into ``defaultParallelism`` partitions and
-sorted by ``(doc_id, sid, tid)`` within each. Per Arrow batch it decodes
-the rows once with ``evaluate.sentences`` (LoadArticle) and splits the
-sentences by document; per document it evaluates the extract clause on
-the candidate sentences with GSP skip plans (GSP + extract), scores the
-satisfying values against the same sentences and applies thresholds and
-``excluding`` (satisfying). Each batch yields one frame with one row per
-document: the surviving output tuples plus that document's timers and
-counts. A batch boundary may cut a document, so the last document of each
-batch is carried into the next. The driver makes one collect and drops
-duplicate tuples.
+sentences) → one pass over the candidate articles, ``run_pass`` (the
+Odin baseline and the quality figures run it over every sentence).
+DPLI's candidate sids are collected to the driver and grouped into a
+``(doc_id, cand_sids)`` frame. The pass is one ``mapInPandas`` over the
+tokens of every document holding a candidate sentence, each row flagged
+``is_cand``, hash-partitioned by ``doc_id`` into ``defaultParallelism``
+partitions and sorted by ``(doc_id, sid, tid)`` within each. Per Arrow
+batch it decodes the rows once with ``evaluate.sentences`` (LoadArticle)
+and splits the sentences by document; per document it evaluates the
+extract clause on the candidate sentences with GSP skip plans (GSP +
+extract), scores the satisfying values against the same sentences and
+applies thresholds and ``excluding`` (satisfying). Each batch yields one
+frame with one row per document: the surviving output tuples plus that
+document's timers and counts. A batch boundary may cut a document, so
+the last document of each batch is carried into the next. The driver
+makes one collect and drops duplicate tuples.
 
 Broadcasts: the session's automatic broadcast threshold is off, so every
 broadcast is an explicit ``F.broadcast`` on a side that is small by
@@ -125,9 +126,7 @@ def _batch_pass(
 
     def docs_frame(pdf: pd.DataFrame, load_s: float) -> pd.DataFrame:
         t0 = perf_counter()
-        by_doc: dict[int, list[evaluate.Sentence]] = {}
-        for sent in evaluate.sentences(pdf):
-            by_doc.setdefault(sent.doc_id, []).append(sent)
+        by_doc = evaluate.documents(pdf)
         cand = set(pdf.sid[pdf.is_cand].tolist())
         load_s += perf_counter() - t0
         rows = [_doc_row(sents, cand, nq) for sents in by_doc.values()]
@@ -158,19 +157,9 @@ def _batch_pass(
     return run_batches
 
 
-def run(tokens: DataFrame, index: KokoIndex, query: Query) -> RunResult:
-    timings: dict[str, float] = {}
-
-    t0 = perf_counter()
-    nq = normalize.normalize(query)
-    timings["Normalize"] = perf_counter() - t0
-
-    t0 = perf_counter()
-    cand = dpli.run(index, nq)
-    if cand is not None:
-        cand = [r.x for r in cand.collect()]
-    timings["DPLI"] = perf_counter() - t0
-
+def run_pass(tokens: DataFrame, nq: NormQuery, cand: list[int] | None) -> RunResult:
+    """Everything after DPLI: the pass over the articles holding a
+    sentence of ``cand``, or over every sentence when ``cand`` is None."""
     # The candidate articles: every token of a document holding a
     # candidate sentence (the paper loads them from the DBMS into memory).
     # The (doc_id, cand_sids) frame has one row per candidate document, so
@@ -201,7 +190,7 @@ def run(tokens: DataFrame, index: KokoIndex, query: Query) -> RunResult:
         .mapInPandas(_batch_pass(nq), schema=_pass_schema(nq))
         .collect()
     )
-    timings["extract_wall"] = perf_counter() - t0
+    timings = {"extract_wall": perf_counter() - t0}
     n_cand = sum(d.n_cand for d in docs)
     if cand is not None and n_cand != len(cand):
         raise ValueError(
@@ -223,3 +212,17 @@ def run(tokens: DataFrame, index: KokoIndex, query: Query) -> RunResult:
         n_extraction_rows=sum(d.n_rows for d in docs),
         n_extracted_sentences=sum(d.n_sents for d in docs),
     )
+
+
+def run(tokens: DataFrame, index: KokoIndex, query: Query) -> RunResult:
+    """Normalize, DPLI's candidate sids, then ``run_pass`` over them."""
+    t0 = perf_counter()
+    nq = normalize.normalize(query)
+    t1 = perf_counter()
+    cand = dpli.run(index, nq)
+    if cand is not None:
+        cand = [r.x for r in cand.collect()]
+    t2 = perf_counter()
+    res = run_pass(tokens, nq, cand)
+    res.timings = {"Normalize": t1 - t0, "DPLI": t2 - t1, **res.timings}
+    return res

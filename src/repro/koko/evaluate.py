@@ -16,13 +16,12 @@ Two modes reproduce Table 1:
 
 Sentence-level evaluation is pure Python (sentences are tiny and already
 pruned by DPLI). The engine's pass runs it inside one ``mapInPandas``
-over Arrow batches of doc-partitioned candidate articles; the
-corpus-level reference ``evaluate_corpus`` runs it inside
-``applyInPandas`` grouped by document. ``sentences`` is the one decoder
-from token rows to the in-memory ``Sentence``: it serves both, the
-satisfying-clause scan in ``aggregate`` and the driver-side IKE, NELL and
-CRF baselines alike. A span ``(s, e)`` is inclusive; empty spans are
-``(s, s-1)``.
+over Arrow batches of doc-partitioned candidate articles; the unpruned
+reference ``evaluate_corpus`` runs it on the driver. ``sentences`` is the
+one decoder from token rows to the in-memory ``Sentence``: it serves
+both, the satisfying-clause scan in ``aggregate`` and the driver-side
+IKE, NELL and CRF baselines alike. A span ``(s, e)`` is inclusive; empty
+spans are ``(s, s-1)``.
 """
 from __future__ import annotations
 
@@ -33,7 +32,6 @@ from time import perf_counter
 
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import types as T
 
 from ..indexing import pathmatch
 from . import gsp
@@ -86,11 +84,11 @@ DECODE_COLS = [
 
 def sentences(pdf: pd.DataFrame) -> list[Sentence]:
     """Decode the token rows of any set of documents (an Arrow batch's in
-    the engine's pass, one document's in ``evaluate_corpus``, a whole
-    corpus in the baselines), in any order, into their sentences in sid
-    order: one sort by ``(sid, tid)``, one list per column, cut at sid
-    boundaries. Entities are the rows where an entity starts; the null
-    test accepts both ``None`` and Arrow's ``NaN``."""
+    the engine's pass, a whole corpus in the reference and the baselines),
+    in any order, into their sentences in sid order: one sort by
+    ``(sid, tid)``, one list per column, cut at sid boundaries. Entities
+    are the rows where an entity starts; the null test accepts both
+    ``None`` and Arrow's ``NaN``."""
     pdf = pdf.sort_values(["sid", "tid"])
     cols = {f: pdf[c].tolist() for f, c in _LIST_COLS.items()}
     sids, doc_ids = pdf["sid"].tolist(), pdf["doc_id"].tolist()
@@ -427,23 +425,18 @@ def eval_sentence_timed(sent: Sentence, nq: NormQuery) -> tuple[list[dict], floa
     return rows, ev.gsp_s, max(0.0, total - ev.gsp_s)
 
 
-def evaluate_corpus(tokens: DataFrame, nq: NormQuery) -> DataFrame:
-    """Distributed extract-clause evaluation of every sentence via
-    ``applyInPandas`` — the unpruned reference the engine's single
-    per-document pass is checked against."""
-    fields = [
-        T.StructField("doc_id", T.LongType()),
-        T.StructField("sid", T.LongType()),
-    ] + [T.StructField(v, T.StringType()) for v in emitted_vars(nq)]
-    schema = T.StructType(fields)
-    cols = [f.name for f in fields]
+def documents(pdf: pd.DataFrame) -> dict[int, list[Sentence]]:
+    """``sentences`` of ``pdf``, grouped by document."""
+    by_doc: dict[int, list[Sentence]] = {}
+    for sent in sentences(pdf):
+        by_doc.setdefault(sent.doc_id, []).append(sent)
+    return by_doc
 
-    def eval_group(pdf: pd.DataFrame) -> pd.DataFrame:
-        out: list[dict] = []
-        for sent in sentences(pdf):
-            out.extend(eval_sentence(sent, nq))
-        return pd.DataFrame(out, columns=cols)
 
-    # Group by doc (keeps sentences of a doc together; ``sentences`` cuts
-    # them apart inside the UDF to bound the number of Spark groups).
-    return tokens.groupBy("doc_id").applyInPandas(eval_group, schema=schema)
+def evaluate_corpus(tokens: DataFrame, nq: NormQuery) -> pd.DataFrame:
+    """The unpruned reference of the extract clause, on the driver:
+    ``eval_sentence`` on every sentence of ``tokens``, decoded by one
+    ``sentences`` call. Returns ``(doc_id, sid, *emitted_vars)``."""
+    sents = sentences(tokens.select(*DECODE_COLS).toPandas())
+    rows = [r for sent in sents for r in eval_sentence(sent, nq)]
+    return pd.DataFrame(rows, columns=["doc_id", "sid", *emitted_vars(nq)])

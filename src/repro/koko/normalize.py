@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from ..indexing.pathmatch import check_steps
 from .ast import Constraint, NodeDef, Query, SpanAtom, SpanDef, Step
 
 
@@ -63,6 +64,8 @@ def _dominates(p: list[Step], q: list[Step]) -> bool:
 
 
 def normalize(q: Query) -> NormQuery:
+    for d in q.node_defs:
+        check_steps(d.steps)
     abs_paths, derived = _absolutize(q.node_defs)
 
     # Name elastic atoms and inline path atoms; derive leftOf adjacency.
@@ -81,6 +84,7 @@ def normalize(q: Query) -> NormQuery:
                 atoms.append(replace(a, var=name))
                 names.append(name)
             elif a.kind == "path":
+                check_steps(list(a.steps))
                 n_anon += 1
                 name = f"p_{n_anon}"
                 anon_paths[name] = list(a.steps)

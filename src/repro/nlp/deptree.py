@@ -7,8 +7,8 @@ parse labels (PL path) and POS tags (POS path). This module derives all of
 that from a sentence's head-pointer array.
 
 All functions are pure Python/NumPy over one sentence (templates are ≤ ~20
-tokens); the corpus generator and ``applyInPandas`` evaluators call them
-per sentence.
+tokens); the corpus generator and the synthetic benchmarks call them per
+sentence.
 """
 from __future__ import annotations
 

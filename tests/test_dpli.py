@@ -145,6 +145,37 @@ class TestPathBindings:
         assert true <= got
 
 
+@pytest.fixture(scope="module")
+def wiki60(spark):
+    tokens = generator.wiki_corpus(spark, 60, seed=5).cache()
+    tokens.count()
+    return tokens, koko_index.build(tokens).cache()
+
+
+class TestWordPathGap:
+    """Two or three literal words on one path: the word-path join's depth
+    gap (``pathmatch.gap``) must equal the full scan's exactly, for child,
+    descendant and wildcard hops between the words."""
+
+    @pytest.mark.parametrize(
+        "path,n",
+        [
+            ('//"born"/"in"', 83),
+            ('//"called"//"years"', 2),
+            ('//"called"/"years"', 0),
+            ('//"called"/*/"years"', 2),
+            ('//"is"/"type"/"of"', 1),
+        ],
+    )
+    def test_equals_fullscan(self, wiki60, path, n):
+        tokens, index = wiki60
+        steps = pathmatch.parse_path(path)
+        got = {tuple(r) for r in dpli.path_bindings(index, steps).select("x", "y").collect()}
+        true = {tuple(r) for r in fullscan.var_matches(tokens, steps).select("x", "y").collect()}
+        assert got == true
+        assert len(true) == n
+
+
 class TestRun:
     def test_example_21_candidates(self, paper):
         tokens, index = paper

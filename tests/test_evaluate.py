@@ -228,7 +228,7 @@ class TestCorpusEvaluation:
     def test_distributed_matches_local(self, spark):
         tokens = fixtures.paper_tokens(spark)
         nq = normalize.normalize(queries.example_21())
-        df = evaluate.evaluate_corpus(tokens, nq).toPandas()
+        df = evaluate.evaluate_corpus(tokens, nq)
         assert len(df) == 2
         assert set(df.e) == {"chocolate ice cream", "cheesecake"}
 

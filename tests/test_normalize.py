@@ -4,7 +4,8 @@ import pytest
 
 from repro.koko import normalize, queries
 from repro.koko.ast import (
-    Constraint, NodeDef, Query, SpanDef, elastic, parse_path, subtree, var_atom,
+    Constraint, NodeDef, Query, SpanAtom, SpanDef, Step, elastic, parse_path,
+    subtree, var_atom,
 )
 
 
@@ -43,6 +44,39 @@ class TestAbsolutize:
         )
         with pytest.raises(ValueError, match="circular"):
             normalize.normalize(q)
+
+
+class TestStepConditions:
+    """Steps built in code pass the same check as parsed ones."""
+
+    PERSON_CC = [Step("//", "propn", "pos", (("etype", "Person"),)), Step("/", "cc", "parse")]
+    LEMMA = [Step("//", "verb", "pos", (("lemma", "run"),))]
+
+    @pytest.mark.parametrize(
+        "node_defs,span_defs",
+        [
+            ([NodeDef("n", None, PERSON_CC)], []),
+            ([NodeDef("n", None, LEMMA)], []),
+            ([], [SpanDef("x", [SpanAtom("path", steps=tuple(PERSON_CC))])]),
+        ],
+        ids=["inner-etype", "unknown-key", "path-atom"],
+    )
+    def test_unenforced_condition_raises(self, node_defs, span_defs):
+        q = Query(outputs=[("x", "Str")], node_defs=node_defs, span_defs=span_defs)
+        with pytest.raises(ValueError):
+            normalize.normalize(q)
+
+    def test_etype_on_base_variable(self):
+        """An etype on the last step of a base variable's own path is
+        enforced on that variable, so a child extending it is accepted."""
+        q = Query(
+            outputs=[("c", "Str")],
+            node_defs=[
+                NodeDef("p", None, parse_path('//propn[etype="Person"]')),
+                NodeDef("c", "p", parse_path("/cc")),
+            ],
+        )
+        assert len(normalize.normalize(q).abs_paths["c"]) == 2
 
 
 class TestDominance:

@@ -37,6 +37,21 @@ class TestParsePath:
         with pytest.raises(ValueError):
             pm.parse_path("verb/dobj")
 
+    @pytest.mark.parametrize(
+        "path,match",
+        [
+            ("//propn[etype=Person]", "bad conditions"),            # unquoted value
+            ('//verb[@text="ate" @pos="verb"]', "bad conditions"),  # no comma
+            ('//verb[@lemma="run"]', "unknown condition"),          # nothing reads it
+            ('//propn[etype="Person"]/cc', "etype on step"),        # not the last step
+        ],
+    )
+    def test_unenforced_condition_raises(self, path, match):
+        """A condition no matcher would enforce fails loudly instead of
+        being dropped or ignored."""
+        with pytest.raises(ValueError, match=match):
+            pm.parse_path(path)
+
 
 class TestDecomposition:
     """Example 4.2: d = //verb[text="ate"]/dobj//"delicious"."""
