@@ -176,6 +176,39 @@ class TestPruningInvariance:
         assert _key(engine.run(tokens, index, qf()).results) == _key(full)
 
 
+class TestSparkVsLocal:
+    """``engine.run`` equals the same query evaluated on the driver: all
+    documents decoded by one ``evaluate.sentences`` call, ``eval_sentence``
+    on every sentence, then ``aggregate.apply_doc`` per document."""
+
+    @staticmethod
+    def _local(tokens, q):
+        nq = normalize.normalize(q)
+        out_vars = [v for v, _ in q.outputs]
+        by_doc = {}
+        for sent in evaluate.sentences(tokens.toPandas()):
+            by_doc.setdefault(sent.doc_id, []).append(sent)
+        rows = [
+            (doc_id, *(r[v] for v in out_vars))
+            for doc_id, sents in by_doc.items()
+            for r in aggregate.apply_doc(
+                sents, [t for s in sents for t in evaluate.eval_sentence(s, nq)], nq
+            )
+        ]
+        return pd.DataFrame(rows, columns=["doc_id", *out_vars]).drop_duplicates()
+
+    @pytest.mark.parametrize(
+        "corpus,qf",
+        [(c, qf) for c, _, qf in TestPruningInvariance.CASES],
+        ids=[f"{q}-{c}" for c, q, _ in TestPruningInvariance.CASES],
+    )
+    def test_matches_driver_evaluation(self, corpora, corpus, qf):
+        tokens, index = corpora(corpus)
+        local = self._local(tokens, qf())
+        assert len(local) > 0
+        assert _key(engine.run(tokens, index, qf()).results) == _key(local)
+
+
 class TestExecutionInvariance:
     @pytest.mark.parametrize(
         "corpus,qf",
