@@ -50,30 +50,18 @@ os.environ.setdefault(
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
+from repro.session import session  # noqa: E402
+
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Automatic broadcast joins are disabled so papers about shuffle/join
-    algorithms actually exercise the shuffle path at SF~=0.1. The
-    sanctioned way to get a broadcast join is an explicit ``F.broadcast``
-    hint on a side that is provably small (the KOKO index build, DPLI and
-    the engine use them); the threshold itself is never raised.
+    pre-JVM-launch); every other setting is ``repro.session.session``'s,
+    the one the jobs and the benchmark use.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    s = session("repro")
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

@@ -1,25 +1,17 @@
 """Shared SparkSession bootstrap for spark-submit entrypoints.
 
-Tests use the ``spark`` fixture from ``conftest.py``; jobs run standalone
-(``python jobs/<name>.py`` or ``spark-submit jobs/<name>.py``) and build
-an equivalent local session here.
+Jobs run standalone (``python jobs/<name>.py`` or ``spark-submit
+jobs/<name>.py``); they, the benchmark and the tests' ``spark`` fixture
+all build their session with ``repro.session.session``.
 """
 from __future__ import annotations
 
-import os
-
 from pyspark.sql import SparkSession
+
+from repro.session import session as _session
 
 
 def session(app: str) -> SparkSession:
-    s = (
-        SparkSession.builder.appName(app)
-        .master(os.environ.get("SPARK_MASTER", "local[*]"))
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.ui.enabled", "false")
-        .getOrCreate()
-    )
+    s = _session(app)
     s.sparkContext.setLogLevel("ERROR")
     return s

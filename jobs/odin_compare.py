@@ -1,12 +1,15 @@
 """§6.3 Odin comparison — Odin-sim (index-free full scan) vs KOKO on the
 three scalability queries; reports the slowdown factor next to the
 sentences each side evaluates (KOKO: DPLI's candidates; Odin: all).
+Each side runs each query once to warm up, then three times; the times
+are the medians of those three warm runs.
 
 Usage: python jobs/odin_compare.py [--docs 500]
 """
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 from time import perf_counter
 
@@ -17,6 +20,18 @@ from repro.baselines import odin
 from repro.corpus import generator
 from repro.indexing import koko_index
 from repro.koko import engine, queries
+
+
+def _warm_median(run):
+    """``run()``'s last result and the median wall time of three calls
+    made after one untimed warm-up call."""
+    res = run()
+    times = []
+    for _ in range(3):
+        t0 = perf_counter()
+        res = run()
+        times.append(perf_counter() - t0)
+    return res, statistics.median(times)
 
 
 def main() -> None:
@@ -34,11 +49,9 @@ def main() -> None:
         ("Title", queries.title),
         ("DateOfBirth", queries.date_of_birth),
     ):
-        t0 = perf_counter()
-        rr = engine.run(tokens, index, qf())
-        koko_s = perf_counter() - t0
-        o = odin.run(tokens, qf())
-        print(f"{name:<14} {koko_s:>8.2f} {o.seconds:>8.2f} {o.seconds / koko_s:>8.1f}x "
+        rr, koko_s = _warm_median(lambda: engine.run(tokens, index, qf()))
+        o, odin_s = _warm_median(lambda: odin.run(tokens, qf()))
+        print(f"{name:<14} {koko_s:>8.2f} {odin_s:>8.2f} {odin_s / koko_s:>8.1f}x "
               f"{rr.n_candidate_sentences:>10} {o.n_sentences:>10}")
     spark.stop()
 

@@ -339,12 +339,14 @@ class SentenceEvaluator:
     def run(self) -> list[dict]:
         self.eval_spans()
         # Variables that must be jointly bound: every output var, every
-        # satisfying-clause var (the aggregator scores their values), and
-        # any var referenced by a constraint.
+        # satisfying-clause var (the aggregator scores their values), any
+        # var referenced by a constraint, and every node var the extract
+        # clause defines (it is conjunctive; DPLI reads it the same way).
         needed = [v for v, _ in self.nq.query.outputs]
         needed += [s.var for s in self.nq.query.satisfying]
         for c in self.nq.constraints:
             needed += [c.a, c.b]
+        needed += list(self.nq.abs_paths)
         needed = list(dict.fromkeys(needed))
 
         pools: list[list[tuple[Span, Env]]] = []

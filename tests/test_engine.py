@@ -4,12 +4,15 @@ equal full-scan evaluation for every query of ``koko.queries``), execution
 invariance across shuffle partition counts and Arrow batch sizes, the
 batch function's carry of a document cut by a batch boundary, Spark
 against driver-side evaluation, the Spark jobs one query launches, a
-zero-candidate query, an empty corpus and a token table that breaks the
-sid numbering."""
+zero-candidate query, node variables nothing names, an empty corpus and a
+token table that breaks the sid numbering."""
+import random
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.bench import synthetic_tree
 from repro.corpus import cafes, fixtures, generator
 from repro.indexing import koko_index
 from repro.koko import aggregate, engine, evaluate, normalize, queries
@@ -139,6 +142,7 @@ def corpora(spark, wiki):
         "sprudge": lambda: cafes.cafe_corpus(spark, 30, style="sprudge", seed=4).tokens,
         "facility": lambda: cafes.tweet_corpus(spark, 120, target="facility", seed=6).tokens,
         "team": lambda: cafes.tweet_corpus(spark, 120, target="team", seed=6).tokens,
+        "wiki60": lambda: generator.wiki_corpus(spark, 60, seed=9),
     }
     built = {"wiki": wiki}
 
@@ -340,6 +344,39 @@ class TestNoIndexedVariable:
         assert res.n_candidate_sentences == tokens.select("sid").distinct().count()
         assert len(res.results) > 0
         assert _key(res.results) == _key(_unpruned(tokens, q))
+
+
+class TestEveryNodeVariableBinds:
+    """The extract clause is conjunctive: every node variable it defines
+    must bind, named by an output, a constraint or nothing. DPLI prunes by
+    that reading, so the unpruned reference must apply it too."""
+
+    @pytest.mark.parametrize(
+        "y,rows",
+        [('//"zzzabsent"', False), ("//appos", False), ('//"born"', True)],
+        ids=["absent-word", "absent-label", "present-word"],
+    )
+    def test_unnamed_root_variable(self, corpora, y, rows):
+        tokens, index = corpora("wiki60")
+        q = Query(
+            outputs=[("x", "Str")],
+            node_defs=[NodeDef("x", None, parse_path("//verb")), NodeDef("y", None, parse_path(y))],
+        )
+        full = _unpruned(tokens, q)
+        assert (len(full) > 0) == rows
+        assert _key(engine.run(tokens, index, q).results) == _key(full)
+
+    def test_synthetic_tree_sample(self, corpora):
+        """SyntheticTree queries have no outputs: a document is a result
+        exactly when one of its sentences binds the query's variables."""
+        tokens, index = corpora("wiki60")
+        picked = random.Random(9).sample(synthetic_tree.benchmark(tokens, seed=0), 8)
+        sizes = []
+        for tq in picked:
+            full = _unpruned(tokens, tq.query())
+            sizes.append(len(full))
+            assert _key(engine.run(tokens, index, tq.query()).results) == _key(full), tq.name
+        assert sum(0 < n < 60 for n in sizes) >= 6  # not all or none of the documents
 
 
 class TestEmptyCorpus:
